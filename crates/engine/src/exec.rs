@@ -1,155 +1,122 @@
-//! The continuation-passing interpreter.
+//! The continuation-passing skeleton interpreter, written once and run by
+//! two runtimes.
 //!
-//! Execution discipline (mirrored exactly by the discrete-event simulator,
-//! so both engines raise the same event sequences):
+//! The per-kind interpretation below is generic over a [`Runtime`]: the
+//! threaded engine runs it over the worker pool (`SubCtx`, see
+//! `pooled.rs`), and `askel-sim` runs the very same code under virtual
+//! time on its discrete-event scheduler. Everything that differs between
+//! the two is a trait hook — dispatch, the muscle call, the clock, event
+//! emission, failure and the step guard — so both runtimes raise the same
+//! event sequences by construction (`docs/ARCHITECTURE.md`, "One
+//! interpreter, two runtimes").
+//!
+//! Execution discipline:
 //!
 //! * kinds that own muscles (`seq`, `map`, `fork`, `d&C`, `while`, `if`)
-//!   run each muscle inside **one guarded step**, emitting the
-//!   bracketing events on the thread that executes it;
+//!   run each muscle inside **one dispatched step**, emitting the
+//!   bracketing events on the thread that executes it; the muscle call
+//!   itself goes through [`Runtime::meter`] and [`Runtime::resume`], so a
+//!   runtime may charge it a duration and resume the step later;
 //! * purely structural kinds (`farm`, `pipe`, `for`) emit their
 //!   skeleton-level events inline on the scheduling/continuation thread —
 //!   they have no muscle for the thread guarantee to bind to;
-//! * `map`/`fork`/`d&C` children are fanned out via a [`Join`]; the
+//! * `map`/`fork`/`d&C` children are fanned out via a `Join`; the
 //!   merge is started by the last child to finish, on its thread;
-//! * every step body (muscle + listeners + continuation) is guarded
-//!   ([`SubCtx::guarded`]): a panic poisons the submission and
-//!   short-circuits its remaining steps.
+//! * every step body (muscle + listeners + continuation) runs under the
+//!   runtime's step guard ([`Runtime::guarded`]): a panic poisons the
+//!   submission and short-circuits its remaining steps.
 //!
 //! Dispatch detail: a fan-out hands all children *but the last* to the
-//! pool — one direct submit for the binary d&C case, one batch (one
-//! queue-lock acquisition, one wake-up sweep) for wider splits — and
-//! **descends into the last child inline in the parent's own task**,
-//! like rayon's `join`: sequential by default, parallel when workers
-//! are idle and steal the batched siblings. Single-continuation steps
-//! (pipe stages, while/for iterations, the fan-out merge returned by
-//! [`Join::complete`] to its last-completing worker, the last child
-//! itself) go through [`run_step`]: inline on the current worker with
-//! no closure box and no dispatch while the depth cap allows, then via
-//! the pool's TLS next-task slot (`ResizablePool::submit_next`) — one
-//! trip through the worker loop that resets the stack — and from
-//! non-worker threads (the initial submission) a plain pool submit.
-//! Steady-state chains therefore touch neither deque nor injector (see
-//! `docs/ARCHITECTURE.md`).
+//! runtime — [`Runtime::submit`] for the binary d&C case, one batch
+//! ([`Runtime::push_batch`], [`Runtime::submit_batch`]) for wider splits
+//! — and then schedules the last child with [`Runtime::run_step`], like
+//! rayon's `join`: sequential by default, parallel when workers are idle
+//! and steal the batched siblings. Single-continuation steps (pipe
+//! stages, while/for iterations, the fan-out merge returned by
+//! `Join::complete` to its last-completing child, the last child
+//! itself) also go through [`Runtime::run_step`]. The pool runtime runs
+//! such a step inline on the current worker while a depth cap allows;
+//! the discrete-event runtime queues every dispatched step on its ready
+//! pool, one scheduler event each.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::any::Any;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
-use askel_pool::{ResizablePool, Task};
-use askel_skeletons::{Clock, Data, EvalError, InstanceId, Node, NodeKind, Skel};
+use askel_skeletons::{
+    Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, TimeNs,
+};
 
-use crate::error::{panic_message, EngineError};
-use crate::future::{pair, SkelFuture};
-use crate::metrics::{EngineMetrics, SpanProbe};
+use crate::error::EngineError;
 
-/// Continuation invoked with a node's result, on the thread that produced
-/// it.
+/// A dispatched step: resumes interpretation on the runtime, receiving
+/// back the node it was dispatched for.
+pub trait Step<R>: FnOnce(&mut R, Arc<Node>) + Send + 'static {}
+
+impl<R, F: FnOnce(&mut R, Arc<Node>) + Send + 'static> Step<R> for F {}
+
+/// The machine the interpreter runs on.
 ///
-/// The `Join` variant is the fan-out fast path: instead of boxing a
-/// fresh closure (plus `Arc` bumps for the parent node and trace) for
-/// every child, a child carries only the shared join handle and its
-/// slot index — the parent context lives once, inside the [`Join`].
-type BoxedCont = Box<dyn FnOnce(&Arc<SubCtx>, Data) + Send>;
+/// Implemented by the threaded engine's per-submission context and by
+/// the simulator's discrete-event runtime. All calls are statically
+/// dispatched: the interpreter is monomorphized once per runtime.
+pub trait Runtime: Sized + 'static {
+    /// A fan-out's sibling steps awaiting one bulk submission.
+    type Batch;
 
-enum Cont {
-    /// A boxed general continuation.
-    F(BoxedCont),
-    /// The k-th child of a fan-out completes into its join.
-    Join { join: Arc<Join>, k: usize },
-}
+    /// Dispatches a single-continuation step: a muscle kind's entry in
+    /// tail position, a while iteration, a merge, a fan-out's last child.
+    fn run_step(&mut self, node: Arc<Node>, step: impl Step<Self>);
 
-impl Cont {
-    fn f(f: impl FnOnce(&Arc<SubCtx>, Data) + Send + 'static) -> Self {
-        Cont::F(Box::new(f))
-    }
+    /// Dispatches the lone sibling of a binary fan-out.
+    fn submit(&mut self, node: Arc<Node>, step: impl Step<Self>);
 
-    fn run(self, ctx: &Arc<SubCtx>, mut data: Data) {
-        match self {
-            Cont::F(f) => f(ctx, data),
-            Cont::Join { join, k } => {
-                ctx.emit(
-                    &join.node,
-                    &join.trace,
-                    join.inst,
-                    When::After,
-                    Where::NestedSkeleton,
-                    EventInfo::ChildIndex(k),
-                    &mut Payload::Single(&mut data),
-                );
-                match join.complete(k, data) {
-                    Ok(Some((slots, cont))) => spawn_merge(
-                        ctx,
-                        Arc::clone(&join.node),
-                        join.trace.clone(),
-                        join.inst,
-                        slots,
-                        cont,
-                    ),
-                    Ok(None) => {}
-                    // A racing failure (e.g. a sibling's poisoned retry
-                    // path) left the join inconsistent: poison the
-                    // submission instead of panicking the worker.
-                    Err(msg) => ctx.fail(EngineError::Internal(msg)),
-                }
-            }
-        }
-    }
-}
+    /// An empty batch with room for `siblings` steps.
+    fn new_batch(&self, siblings: usize) -> Self::Batch;
 
-/// Per-submission context: engine services plus the poisoning machinery.
-struct SubCtx {
-    pool: ResizablePool,
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<dyn Clock>,
-    /// Whether any listener was registered when this submission started.
-    /// Sampled once at submit time: when false, the whole event path —
-    /// instance ids, trace extension (an allocation per scheduled node)
-    /// and emission — is skipped for the submission's lifetime.
-    tracing: bool,
-    /// Shared zero-allocation stand-in trace used when `tracing` is off.
-    empty_trace: Trace,
-    /// Span probe for the metrics hub, sampled once at submit time like
-    /// `tracing`: `None` whenever the hub was disabled, making every
-    /// per-step check a plain discriminant test.
-    span: Option<SpanProbe>,
-    failed: AtomicBool,
-    fail_fn: Box<dyn Fn(EngineError) + Send + Sync>,
-}
+    /// Adds one sibling of a wider fan-out to `batch`.
+    fn push_batch(&mut self, batch: &mut Self::Batch, node: Arc<Node>, step: impl Step<Self>);
 
-impl SubCtx {
-    fn fail(&self, err: EngineError) {
-        self.failed.store(true, Ordering::SeqCst);
-        if let Some(span) = &self.span {
-            span.finish(&*self.clock);
-        }
-        (self.fail_fn)(err); // the promise keeps only the first resolution
-    }
+    /// Hands a fan-out's batched siblings over in one submission.
+    fn submit_batch(&mut self, batch: Self::Batch);
 
-    /// Runs a step now: short-circuits if the submission is poisoned,
-    /// poisons it if the body panics. The guard both inline execution
-    /// and pool tasks run under — a step behaves identically wherever
-    /// it executes.
-    fn guarded(self: &Arc<Self>, f: impl FnOnce(&Arc<SubCtx>)) {
-        if self.failed.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(span) = &self.span {
-            span.note_start(&*self.clock);
-        }
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(self))) {
-            self.fail(EngineError::MusclePanic(panic_message(p.as_ref())));
-        }
-    }
+    /// Announces the muscle call about to run, before it consumes its
+    /// input: `items` is 1 for single values and the list length for a
+    /// merge, `input` the payload the muscle receives.
+    fn meter(&mut self, muscle: MuscleId, items: usize, input: &dyn Any);
 
-    /// Wraps a step into a guarded pool task.
-    fn task(self: &Arc<Self>, f: impl FnOnce(&Arc<SubCtx>) + Send + 'static) -> Task {
-        let ctx = Arc::clone(self);
-        Box::new(move || ctx.guarded(f))
-    }
+    /// Continues a step after its muscle call produced `value`: now, or
+    /// once the metered duration has elapsed.
+    fn resume<T: Send + 'static>(
+        &mut self,
+        value: T,
+        then: impl FnOnce(&mut Self, T) + Send + 'static,
+    );
 
+    /// Event timestamp source.
+    fn now(&self) -> TimeNs;
+
+    /// The listeners events are emitted to.
+    fn registry(&self) -> &ListenerRegistry;
+
+    /// Whether this submission builds instance ids and traces and emits
+    /// events at all. When false the whole event path is skipped.
+    fn tracing(&self) -> bool;
+
+    /// The stand-in trace for instances of an untraced submission.
+    fn empty_trace(&self) -> Trace;
+
+    /// Poisons the submission (the first failure wins).
+    fn fail(&mut self, err: EngineError);
+
+    /// Runs `step` unless the submission is poisoned, and poisons it
+    /// with [`EngineError::MusclePanic`] if the step panics. Every
+    /// dispatched step runs under this guard.
+    fn guarded(&mut self, step: impl FnOnce(&mut Self));
+
+    /// Emits one event to the registry's listeners.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
@@ -161,7 +128,7 @@ impl SubCtx {
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        if !self.tracing || self.registry.is_empty() {
+        if !self.tracing() || self.registry().is_empty() {
             return;
         }
         let event = Event {
@@ -171,10 +138,76 @@ impl SubCtx {
             wher,
             index,
             trace: trace.clone(),
-            timestamp: self.clock.now(),
+            timestamp: self.now(),
             info,
         };
-        self.registry.emit(payload, &event);
+        self.registry().emit(payload, &event);
+    }
+}
+
+/// Interprets `node` on `input` under the runtime's step guard; `done`
+/// receives the root result on the thread (or at the virtual instant)
+/// that produced it.
+pub fn start<R: Runtime>(
+    rt: &mut R,
+    node: &Arc<Node>,
+    input: Data,
+    done: impl FnOnce(&mut R, Data) + Send + 'static,
+) {
+    rt.guarded(|rt| schedule_node(rt, node, None, input, Cont::f(done)));
+}
+
+/// Continuation invoked with a node's result, on the thread that produced
+/// it.
+///
+/// The `Join` variant is the fan-out fast path: instead of boxing a
+/// fresh closure (plus `Arc` bumps for the parent node and trace) for
+/// every child, a child carries only the shared join handle and its
+/// slot index — the parent context lives once, inside the [`Join`].
+type BoxedCont<R> = Box<dyn FnOnce(&mut R, Data) + Send>;
+
+enum Cont<R> {
+    /// A boxed general continuation.
+    F(BoxedCont<R>),
+    /// The k-th child of a fan-out completes into its join.
+    Join { join: Arc<Join<R>>, k: usize },
+}
+
+impl<R: Runtime> Cont<R> {
+    fn f(f: impl FnOnce(&mut R, Data) + Send + 'static) -> Self {
+        Cont::F(Box::new(f))
+    }
+
+    fn run(self, rt: &mut R, mut data: Data) {
+        match self {
+            Cont::F(f) => f(rt, data),
+            Cont::Join { join, k } => {
+                rt.emit(
+                    &join.node,
+                    &join.trace,
+                    join.inst,
+                    When::After,
+                    Where::NestedSkeleton,
+                    EventInfo::ChildIndex(k),
+                    &mut Payload::Single(&mut data),
+                );
+                match join.complete(k, data) {
+                    Ok(Some((slots, cont))) => spawn_merge(
+                        rt,
+                        Arc::clone(&join.node),
+                        join.trace.clone(),
+                        join.inst,
+                        slots,
+                        cont,
+                    ),
+                    Ok(None) => {}
+                    // A racing failure (e.g. a sibling's poisoned retry
+                    // path) left the join inconsistent: poison the
+                    // submission instead of panicking the worker.
+                    Err(msg) => rt.fail(EngineError::Internal(msg)),
+                }
+            }
+        }
     }
 }
 
@@ -183,24 +216,24 @@ impl SubCtx {
 /// instance id) — stored once here rather than cloned into every child;
 /// the closer (last child) receives the full result vector together with
 /// the continuation.
-struct Join {
+struct Join<R> {
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     /// Slots, countdown and continuation under **one** lock: a
     /// completing child takes exactly one uncontended lock acquisition
     /// instead of a lock + an atomic (+ two more locks for the closer).
-    state: Mutex<JoinState>,
+    state: Mutex<JoinState<R>>,
 }
 
-struct JoinState {
+struct JoinState<R> {
     slots: Vec<Option<Data>>,
     remaining: usize,
-    cont: Option<Cont>,
+    cont: Option<Cont<R>>,
 }
 
-impl Join {
-    fn new(n: usize, cont: Cont, node: Arc<Node>, trace: Trace, inst: InstanceId) -> Arc<Self> {
+impl<R: Runtime> Join<R> {
+    fn new(n: usize, cont: Cont<R>, node: Arc<Node>, trace: Trace, inst: InstanceId) -> Arc<Self> {
         Arc::new(Join {
             node,
             trace,
@@ -221,14 +254,14 @@ impl Join {
     ///
     /// Inconsistencies (a child completing twice, the continuation
     /// already consumed) are reported as `Err` instead of panicking: the
-    /// caller routes them through `SubCtx::fail`, so a race against a
+    /// caller routes them through [`Runtime::fail`], so a race against a
     /// poisoned sibling poisons the submission rather than the worker.
     #[allow(clippy::type_complexity)]
     fn complete(
         &self,
         k: usize,
         value: Data,
-    ) -> Result<Option<(Vec<Option<Data>>, Cont)>, &'static str> {
+    ) -> Result<Option<(Vec<Option<Data>>, Cont<R>)>, &'static str> {
         let mut state = self.state.lock();
         match state.slots.get_mut(k) {
             Some(slot @ None) => *slot = Some(value),
@@ -248,118 +281,11 @@ impl Join {
     }
 }
 
-/// Entry point used by [`crate::Engine::submit`].
-pub(crate) fn submit<P, R>(
-    pool: ResizablePool,
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<dyn Clock>,
-    metrics: Arc<EngineMetrics>,
-    skel: &Skel<P, R>,
-    input: P,
-) -> SkelFuture<R>
-where
-    P: Send + 'static,
-    R: Send + 'static,
-{
-    let (future, promise) = pair::<R>();
-    let fail_promise = promise.clone();
-    let tracing = !registry.is_empty();
-    let span = metrics.probe(&*clock);
-    let ctx = Arc::new(SubCtx {
-        pool,
-        registry,
-        clock,
-        tracing,
-        empty_trace: Trace::empty(),
-        span,
-        failed: AtomicBool::new(false),
-        fail_fn: Box::new(move |e| fail_promise.fail(e)),
-    });
-    let root_cont: Cont = Cont::f(move |ctx, data| {
-        if let Some(span) = &ctx.span {
-            span.finish(&*ctx.clock);
-        }
-        match data.downcast::<R>() {
-            Ok(r) => promise.fulfill(*r),
-            Err(_) => promise.fail(EngineError::MusclePanic(
-                "internal error: root result had an unexpected type".into(),
-            )),
-        }
-    });
-    schedule_node(&ctx, skel.node(), None, Box::new(input), root_cont);
-    future
-}
-
-/// Entry point used by [`crate::Engine::submit_batch`].
-///
-/// Each input gets its own submission context, future and promise —
-/// poisoning stays per item, exactly as with [`submit`] — but instead of
-/// scheduling each root step individually (one injector push and one
-/// worker wake per item), the whole batch is handed to the pool through
-/// one `ResizablePool::submit_batch` call. The root step (including a
-/// structural root's inline recursion) therefore runs on a worker rather
-/// than the submitting thread; structural kinds carry no muscle-thread
-/// guarantee, so the event contract is unchanged.
-pub(crate) fn submit_batch<P, R>(
-    pool: ResizablePool,
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<dyn Clock>,
-    metrics: Arc<EngineMetrics>,
-    skel: &Skel<P, R>,
-    inputs: Vec<P>,
-) -> Vec<SkelFuture<R>>
-where
-    P: Send + 'static,
-    R: Send + 'static,
-{
-    let tracing = !registry.is_empty();
-    // One enabled check and one clock read for the whole batch; every
-    // item's span shares the submit timestamp.
-    let submitted_at = if metrics.enabled() {
-        Some(clock.now().0.max(1))
-    } else {
-        None
-    };
-    let mut futures = Vec::with_capacity(inputs.len());
-    let mut tasks: Vec<Task> = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let (future, promise) = pair::<R>();
-        let fail_promise = promise.clone();
-        let ctx = Arc::new(SubCtx {
-            pool: pool.clone(),
-            registry: Arc::clone(&registry),
-            clock: Arc::clone(&clock),
-            tracing,
-            empty_trace: Trace::empty(),
-            span: submitted_at.map(|at| metrics.probe_at(at)),
-            failed: AtomicBool::new(false),
-            fail_fn: Box::new(move |e| fail_promise.fail(e)),
-        });
-        let root_cont: Cont = Cont::f(move |ctx, data| {
-            if let Some(span) = &ctx.span {
-                span.finish(&*ctx.clock);
-            }
-            match data.downcast::<R>() {
-                Ok(r) => promise.fulfill(*r),
-                Err(_) => promise.fail(EngineError::MusclePanic(
-                    "internal error: root result had an unexpected type".into(),
-                )),
-            }
-        });
-        let node = Arc::clone(skel.node());
-        tasks
-            .push(ctx.task(move |ctx| schedule_node(ctx, &node, None, Box::new(input), root_cont)));
-        futures.push(future);
-    }
-    pool.submit_batch(tasks);
-    futures
-}
-
 /// Allocates the instance identity (fresh id + extended trace) for one
 /// scheduled node — or the shared zero-cost stand-ins when no listener
 /// can observe this submission.
-fn instance(ctx: &Arc<SubCtx>, node: &Arc<Node>, parent: Option<&Trace>) -> (InstanceId, Trace) {
-    if ctx.tracing {
+fn instance<R: Runtime>(rt: &R, node: &Node, parent: Option<&Trace>) -> (InstanceId, Trace) {
+    if rt.tracing() {
         let inst = InstanceId::fresh();
         let trace = match parent {
             Some(t) => t.child(node.id, inst, node.tag()),
@@ -369,43 +295,42 @@ fn instance(ctx: &Arc<SubCtx>, node: &Arc<Node>, parent: Option<&Trace>) -> (Ins
     } else {
         // No listener can observe this submission: skip the id and the
         // per-node trace allocation entirely.
-        (InstanceId(0), ctx.empty_trace.clone())
+        (InstanceId(0), rt.empty_trace())
     }
 }
 
 /// Runs the entry step of a muscle-owning kind. Must not be called for
 /// structural kinds — the dispatchers below route those to `exec_*`.
-fn muscle_step(
-    ctx: &Arc<SubCtx>,
+fn muscle_step<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
     match node.tag() {
-        askel_skeletons::KindTag::Seq => step_seq(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::While => step_while(ctx, node, trace, inst, data, cont, 0),
-        askel_skeletons::KindTag::If => step_if(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::Map => step_map(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::Fork => step_fork(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::DivideConquer => step_dac(ctx, node, trace, inst, data, cont),
+        KindTag::Seq => step_seq(rt, node, trace, inst, data, cont),
+        KindTag::While => step_while(rt, node, trace, inst, data, cont, 0),
+        KindTag::If => step_if(rt, node, trace, inst, data, cont),
+        KindTag::Map => step_map(rt, node, trace, inst, data, cont),
+        KindTag::Fork => step_fork(rt, node, trace, inst, data, cont),
+        KindTag::DivideConquer => step_dac(rt, node, trace, inst, data, cont),
         tag => unreachable!("muscle_step on structural kind {tag:?}"),
     }
 }
 
 /// Where a scheduled muscle-kind step goes. Structural kinds always
-/// execute inline regardless of the sink; this only picks the path for
-/// the entry step of muscle-owning kinds.
-enum Sink<'a> {
-    /// Run inline on the current worker when the depth cap allows,
-    /// else defer via the TLS next-task slot / a plain submit
-    /// ([`run_step`]) — the tail-position single-continuation path.
+/// execute inline regardless of the sink; this only picks the dispatch
+/// hook for the entry step of muscle-owning kinds.
+enum Sink<'a, R: Runtime> {
+    /// [`Runtime::run_step`] — the tail-position single-continuation
+    /// path.
     Run,
-    /// Submit straight to the pool (a binary fan-out's lone sibling).
+    /// [`Runtime::submit`] (a binary fan-out's lone sibling).
     Submit,
-    /// Push into a fan-out batch for one bulk submission.
-    Batch(&'a mut Vec<Task>),
+    /// [`Runtime::push_batch`] into a fan-out batch.
+    Batch(&'a mut R::Batch),
 }
 
 /// Schedules the execution of `node` on `data` into `sink`; `cont`
@@ -415,32 +340,28 @@ enum Sink<'a> {
 /// recurse inline, as always. For muscle kinds, [`Sink::Run`] call
 /// sites are tail positions scheduling exactly one follow-on step (a
 /// pipe's next stage, an if/farm/d&C-leaf body, a for iteration, a
-/// fan-out's last child): on a worker the step runs inline in the
-/// current task — no closure box, no dispatch — deferring to the TLS
-/// next-task slot past the depth cap, and from outside the pool (the
-/// initial submission) it becomes a plain injector submit, keeping
-/// `Engine::submit` non-blocking. Fan-out siblings use
+/// fan-out's last child); fan-out siblings use
 /// [`Sink::Submit`]/[`Sink::Batch`] so thieves can take them.
-fn schedule_node_to(
-    ctx: &Arc<SubCtx>,
+fn schedule_node_to<R: Runtime>(
+    rt: &mut R,
     node: &Arc<Node>,
     parent: Option<&Trace>,
     data: Data,
-    cont: Cont,
-    sink: Sink<'_>,
+    cont: Cont<R>,
+    sink: Sink<'_, R>,
 ) {
-    let (inst, trace) = instance(ctx, node, parent);
+    let (inst, trace) = instance(rt, node, parent);
     let node = Arc::clone(node);
     match node.tag() {
-        askel_skeletons::KindTag::Farm => exec_farm(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::Pipe => exec_pipe(ctx, node, trace, inst, data, cont),
-        askel_skeletons::KindTag::For => exec_for(ctx, node, trace, inst, data, cont),
+        KindTag::Farm => exec_farm(rt, node, trace, inst, data, cont),
+        KindTag::Pipe => exec_pipe(rt, node, trace, inst, data, cont),
+        KindTag::For => exec_for(rt, node, trace, inst, data, cont),
         _ => {
-            let step = move |ctx: &Arc<SubCtx>| muscle_step(ctx, node, trace, inst, data, cont);
+            let step = move |rt: &mut R, node| muscle_step(rt, node, trace, inst, data, cont);
             match sink {
-                Sink::Run => run_step(ctx, step),
-                Sink::Submit => ctx.pool.submit(ctx.task(step)),
-                Sink::Batch(batch) => batch.push(ctx.task(step)),
+                Sink::Run => rt.run_step(node, step),
+                Sink::Submit => rt.submit(node, step),
+                Sink::Batch(batch) => rt.push_batch(batch, node, step),
             }
         }
     }
@@ -448,26 +369,26 @@ fn schedule_node_to(
 
 /// [`schedule_node_to`] with the [`Sink::Run`] path — the common
 /// single-continuation case.
-fn schedule_node(
-    ctx: &Arc<SubCtx>,
+fn schedule_node<R: Runtime>(
+    rt: &mut R,
     node: &Arc<Node>,
     parent: Option<&Trace>,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
-    schedule_node_to(ctx, node, parent, data, cont, Sink::Run);
+    schedule_node_to(rt, node, parent, data, cont, Sink::Run);
 }
 
-fn step_seq(
-    ctx: &Arc<SubCtx>,
+fn step_seq<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
     let mut data = data;
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -479,28 +400,71 @@ fn step_seq(
     let NodeKind::Seq { fe } = &node.kind else {
         unreachable!("tag checked by dispatcher")
     };
-    let mut out = fe.call(data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Skeleton,
-        EventInfo::None,
-        &mut Payload::Single(&mut out),
-    );
-    cont.run(ctx, out);
+    rt.meter(MuscleId::new(node.id, MuscleRole::Execute), 1, &*data);
+    let out = fe.call(data);
+    rt.resume(out, move |rt, mut out| {
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::After,
+            Where::Skeleton,
+            EventInfo::None,
+            &mut Payload::Single(&mut out),
+        );
+        cont.run(rt, out);
+    });
 }
 
-fn exec_farm(
-    ctx: &Arc<SubCtx>,
+/// The continuation closing a single-child instance (a farm body, an if
+/// branch, a d&C base case): `After` the nested child `k`, then `After`
+/// the skeleton. The wrapper only emits events, so with no listener the
+/// parent's continuation passes through without a fresh box.
+fn close_after_child<R: Runtime>(
+    rt: &R,
+    node: &Arc<Node>,
+    trace: &Trace,
+    inst: InstanceId,
+    k: usize,
+    cont: Cont<R>,
+) -> Cont<R> {
+    if !rt.tracing() {
+        return cont;
+    }
+    let node = Arc::clone(node);
+    let trace = trace.clone();
+    Cont::f(move |rt: &mut R, mut out| {
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::After,
+            Where::NestedSkeleton,
+            EventInfo::ChildIndex(k),
+            &mut Payload::Single(&mut out),
+        );
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::After,
+            Where::Skeleton,
+            EventInfo::None,
+            &mut Payload::Single(&mut out),
+        );
+        cont.run(rt, out);
+    })
+}
+
+fn exec_farm<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     mut data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -509,7 +473,7 @@ fn exec_farm(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -522,47 +486,19 @@ fn exec_farm(
         unreachable!("tag checked by dispatcher")
     };
     let inner = Arc::clone(inner);
-    // The closing wrapper only emits events; with no listener the
-    // parent's continuation passes through without a fresh box.
-    let cont = if ctx.tracing {
-        let trace2 = trace.clone();
-        let node2 = Arc::clone(&node);
-        Cont::f(move |ctx, mut out| {
-            ctx.emit(
-                &node2,
-                &trace2,
-                inst,
-                When::After,
-                Where::NestedSkeleton,
-                EventInfo::ChildIndex(0),
-                &mut Payload::Single(&mut out),
-            );
-            ctx.emit(
-                &node2,
-                &trace2,
-                inst,
-                When::After,
-                Where::Skeleton,
-                EventInfo::None,
-                &mut Payload::Single(&mut out),
-            );
-            cont.run(ctx, out);
-        })
-    } else {
-        cont
-    };
-    schedule_node(ctx, &inner, Some(&trace), data, cont);
+    let cont = close_after_child(rt, &node, &trace, inst, 0, cont);
+    schedule_node(rt, &inner, Some(&trace), data, cont);
 }
 
-fn exec_pipe(
-    ctx: &Arc<SubCtx>,
+fn exec_pipe<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     mut data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -571,23 +507,23 @@ fn exec_pipe(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
-    pipe_stage(ctx, node, trace, inst, data, cont, 0);
+    pipe_stage(rt, node, trace, inst, data, cont, 0);
 }
 
-fn pipe_stage(
-    ctx: &Arc<SubCtx>,
+fn pipe_stage<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     mut data: Data,
-    cont: Cont,
+    cont: Cont<R>,
     k: usize,
 ) {
     let NodeKind::Pipe { stages } = &node.kind else {
         unreachable!("tag checked by dispatcher")
     };
     if k == stages.len() {
-        ctx.emit(
+        rt.emit(
             &node,
             &trace,
             inst,
@@ -596,10 +532,10 @@ fn pipe_stage(
             EventInfo::None,
             &mut Payload::Single(&mut data),
         );
-        cont.run(ctx, data);
+        cont.run(rt, data);
         return;
     }
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -612,12 +548,12 @@ fn pipe_stage(
     let node2 = Arc::clone(&node);
     let trace2 = trace.clone();
     schedule_node(
-        ctx,
+        rt,
         &stage,
         Some(&trace),
         data,
-        Cont::f(move |ctx, mut out| {
-            ctx.emit(
+        Cont::f(move |rt: &mut R, mut out| {
+            rt.emit(
                 &node2,
                 &trace2,
                 inst,
@@ -626,23 +562,23 @@ fn pipe_stage(
                 EventInfo::ChildIndex(k),
                 &mut Payload::Single(&mut out),
             );
-            pipe_stage(ctx, node2, trace2, inst, out, cont, k + 1);
+            pipe_stage(rt, node2, trace2, inst, out, cont, k + 1);
         }),
     );
 }
 
-fn step_while(
-    ctx: &Arc<SubCtx>,
+fn step_while<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
     iter: usize,
 ) {
     let mut data = data;
     if iter == 0 {
-        ctx.emit(
+        rt.emit(
             &node,
             &trace,
             inst,
@@ -652,10 +588,10 @@ fn step_while(
             &mut Payload::Single(&mut data),
         );
     }
-    let NodeKind::While { fc, inner } = &node.kind else {
+    let NodeKind::While { fc, .. } = &node.kind else {
         unreachable!("tag checked by dispatcher")
     };
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -664,73 +600,79 @@ fn step_while(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
+    rt.meter(MuscleId::new(node.id, MuscleRole::Condition), 1, &*data);
     let verdict = fc.call(&data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Condition,
-        EventInfo::ConditionResult(verdict),
-        &mut Payload::Single(&mut data),
-    );
-    if verdict {
-        ctx.emit(
-            &node,
-            &trace,
-            inst,
-            When::Before,
-            Where::NestedSkeleton,
-            EventInfo::ChildIndex(iter),
-            &mut Payload::Single(&mut data),
-        );
-        let inner = Arc::clone(inner);
-        let node2 = Arc::clone(&node);
-        let trace2 = trace.clone();
-        schedule_node(
-            ctx,
-            &inner,
-            Some(&trace),
-            data,
-            Cont::f(move |ctx, mut out| {
-                ctx.emit(
-                    &node2,
-                    &trace2,
-                    inst,
-                    When::After,
-                    Where::NestedSkeleton,
-                    EventInfo::ChildIndex(iter),
-                    &mut Payload::Single(&mut out),
-                );
-                run_step(ctx, move |ctx| {
-                    step_while(ctx, node2, trace2, inst, out, cont, iter + 1)
-                });
-            }),
-        );
-    } else {
-        ctx.emit(
+    rt.resume(verdict, move |rt, verdict| {
+        rt.emit(
             &node,
             &trace,
             inst,
             When::After,
-            Where::Skeleton,
-            EventInfo::None,
+            Where::Condition,
+            EventInfo::ConditionResult(verdict),
             &mut Payload::Single(&mut data),
         );
-        cont.run(ctx, data);
-    }
+        if verdict {
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::Before,
+                Where::NestedSkeleton,
+                EventInfo::ChildIndex(iter),
+                &mut Payload::Single(&mut data),
+            );
+            let NodeKind::While { inner, .. } = &node.kind else {
+                unreachable!("tag checked by dispatcher")
+            };
+            let inner = Arc::clone(inner);
+            let node2 = Arc::clone(&node);
+            let trace2 = trace.clone();
+            schedule_node(
+                rt,
+                &inner,
+                Some(&trace),
+                data,
+                Cont::f(move |rt: &mut R, mut out| {
+                    rt.emit(
+                        &node2,
+                        &trace2,
+                        inst,
+                        When::After,
+                        Where::NestedSkeleton,
+                        EventInfo::ChildIndex(iter),
+                        &mut Payload::Single(&mut out),
+                    );
+                    rt.run_step(node2, move |rt, node| {
+                        step_while(rt, node, trace2, inst, out, cont, iter + 1)
+                    });
+                }),
+            );
+        } else {
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::After,
+                Where::Skeleton,
+                EventInfo::None,
+                &mut Payload::Single(&mut data),
+            );
+            cont.run(rt, data);
+        }
+    });
 }
 
-fn step_if(
-    ctx: &Arc<SubCtx>,
+fn step_if<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
     let mut data = data;
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -739,15 +681,10 @@ fn step_if(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
-    let NodeKind::If {
-        fc,
-        then_branch,
-        else_branch,
-    } = &node.kind
-    else {
+    let NodeKind::If { fc, .. } = &node.kind else {
         unreachable!("tag checked by dispatcher")
     };
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -756,70 +693,54 @@ fn step_if(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
+    rt.meter(MuscleId::new(node.id, MuscleRole::Condition), 1, &*data);
     let verdict = fc.call(&data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Condition,
-        EventInfo::ConditionResult(verdict),
-        &mut Payload::Single(&mut data),
-    );
-    let (branch, k) = if verdict {
-        (Arc::clone(then_branch), 0)
-    } else {
-        (Arc::clone(else_branch), 1)
-    };
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::Before,
-        Where::NestedSkeleton,
-        EventInfo::ChildIndex(k),
-        &mut Payload::Single(&mut data),
-    );
-    // Branch-closing wrapper: identity without a listener.
-    let cont = if ctx.tracing {
-        let node2 = Arc::clone(&node);
-        let trace2 = trace.clone();
-        Cont::f(move |ctx, mut out| {
-            ctx.emit(
-                &node2,
-                &trace2,
-                inst,
-                When::After,
-                Where::NestedSkeleton,
-                EventInfo::ChildIndex(k),
-                &mut Payload::Single(&mut out),
-            );
-            ctx.emit(
-                &node2,
-                &trace2,
-                inst,
-                When::After,
-                Where::Skeleton,
-                EventInfo::None,
-                &mut Payload::Single(&mut out),
-            );
-            cont.run(ctx, out);
-        })
-    } else {
-        cont
-    };
-    schedule_node(ctx, &branch, Some(&trace), data, cont);
+    rt.resume(verdict, move |rt, verdict| {
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::After,
+            Where::Condition,
+            EventInfo::ConditionResult(verdict),
+            &mut Payload::Single(&mut data),
+        );
+        let NodeKind::If {
+            then_branch,
+            else_branch,
+            ..
+        } = &node.kind
+        else {
+            unreachable!("tag checked by dispatcher")
+        };
+        let (branch, k) = if verdict {
+            (Arc::clone(then_branch), 0)
+        } else {
+            (Arc::clone(else_branch), 1)
+        };
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::Before,
+            Where::NestedSkeleton,
+            EventInfo::ChildIndex(k),
+            &mut Payload::Single(&mut data),
+        );
+        let cont = close_after_child(rt, &node, &trace, inst, k, cont);
+        schedule_node(rt, &branch, Some(&trace), data, cont);
+    });
 }
 
-fn exec_for(
-    ctx: &Arc<SubCtx>,
+fn exec_for<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     mut data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -833,7 +754,7 @@ fn exec_for(
     };
     let n = *n;
     if n == 0 {
-        ctx.emit(
+        rt.emit(
             &node,
             &trace,
             inst,
@@ -842,24 +763,24 @@ fn exec_for(
             EventInfo::None,
             &mut Payload::Single(&mut data),
         );
-        cont.run(ctx, data);
+        cont.run(rt, data);
         return;
     }
-    for_iteration(ctx, node, trace, inst, data, cont, 0, n);
+    for_iteration(rt, node, trace, inst, data, cont, 0, n);
 }
 
 #[allow(clippy::too_many_arguments)]
-fn for_iteration(
-    ctx: &Arc<SubCtx>,
+fn for_iteration<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     mut data: Data,
-    cont: Cont,
+    cont: Cont<R>,
     k: usize,
     n: usize,
 ) {
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -875,12 +796,12 @@ fn for_iteration(
     let node2 = Arc::clone(&node);
     let trace2 = trace.clone();
     schedule_node(
-        ctx,
+        rt,
         &inner,
         Some(&trace),
         data,
-        Cont::f(move |ctx, mut out| {
-            ctx.emit(
+        Cont::f(move |rt: &mut R, mut out| {
+            rt.emit(
                 &node2,
                 &trace2,
                 inst,
@@ -890,9 +811,9 @@ fn for_iteration(
                 &mut Payload::Single(&mut out),
             );
             if k + 1 < n {
-                for_iteration(ctx, node2, trace2, inst, out, cont, k + 1, n);
+                for_iteration(rt, node2, trace2, inst, out, cont, k + 1, n);
             } else {
-                ctx.emit(
+                rt.emit(
                     &node2,
                     &trace2,
                     inst,
@@ -901,22 +822,22 @@ fn for_iteration(
                     EventInfo::None,
                     &mut Payload::Single(&mut out),
                 );
-                cont.run(ctx, out);
+                cont.run(rt, out);
             }
         }),
     );
 }
 
-fn step_map(
-    ctx: &Arc<SubCtx>,
+fn step_map<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     data: Data,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
     let mut data = data;
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -928,7 +849,7 @@ fn step_map(
     let NodeKind::Map { fs, .. } = &node.kind else {
         unreachable!("tag checked by dispatcher")
     };
-    ctx.emit(
+    rt.emit(
         &node,
         &trace,
         inst,
@@ -937,148 +858,10 @@ fn step_map(
         EventInfo::None,
         &mut Payload::Single(&mut data),
     );
-    let mut parts = fs.call(data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Split,
-        EventInfo::SplitCardinality(parts.len()),
-        &mut Payload::Many(&mut parts),
-    );
-    fan_out(
-        ctx,
-        Arc::clone(&node),
-        trace.clone(),
-        inst,
-        parts,
-        cont,
-        |node, _| {
-            let NodeKind::Map { inner, .. } = &node.kind else {
-                unreachable!()
-            };
-            Arc::clone(inner)
-        },
-    );
-}
-
-fn step_fork(
-    ctx: &Arc<SubCtx>,
-    node: Arc<Node>,
-    trace: Trace,
-    inst: InstanceId,
-    data: Data,
-    cont: Cont,
-) {
-    let mut data = data;
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::Before,
-        Where::Skeleton,
-        EventInfo::None,
-        &mut Payload::Single(&mut data),
-    );
-    let NodeKind::Fork { fs, inners, .. } = &node.kind else {
-        unreachable!("tag checked by dispatcher")
-    };
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::Before,
-        Where::Split,
-        EventInfo::None,
-        &mut Payload::Single(&mut data),
-    );
-    let mut parts = fs.call(data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Split,
-        EventInfo::SplitCardinality(parts.len()),
-        &mut Payload::Many(&mut parts),
-    );
-    if parts.len() != inners.len() {
-        ctx.fail(EngineError::Eval(EvalError::ForkArityMismatch {
-            node: node.id,
-            branches: inners.len(),
-            produced: parts.len(),
-        }));
-        return;
-    }
-    fan_out(
-        ctx,
-        Arc::clone(&node),
-        trace.clone(),
-        inst,
-        parts,
-        cont,
-        |node, k| {
-            let NodeKind::Fork { inners, .. } = &node.kind else {
-                unreachable!()
-            };
-            Arc::clone(&inners[k])
-        },
-    );
-}
-
-fn step_dac(
-    ctx: &Arc<SubCtx>,
-    node: Arc<Node>,
-    trace: Trace,
-    inst: InstanceId,
-    data: Data,
-    cont: Cont,
-) {
-    let mut data = data;
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::Before,
-        Where::Skeleton,
-        EventInfo::None,
-        &mut Payload::Single(&mut data),
-    );
-    let NodeKind::DivideConquer { fc, fs, inner, .. } = &node.kind else {
-        unreachable!("tag checked by dispatcher")
-    };
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::Before,
-        Where::Condition,
-        EventInfo::None,
-        &mut Payload::Single(&mut data),
-    );
-    let divide = fc.call(&data);
-    ctx.emit(
-        &node,
-        &trace,
-        inst,
-        When::After,
-        Where::Condition,
-        EventInfo::ConditionResult(divide),
-        &mut Payload::Single(&mut data),
-    );
-    if divide {
-        ctx.emit(
-            &node,
-            &trace,
-            inst,
-            When::Before,
-            Where::Split,
-            EventInfo::None,
-            &mut Payload::Single(&mut data),
-        );
-        let mut parts = fs.call(data);
-        ctx.emit(
+    rt.meter(MuscleId::new(node.id, MuscleRole::Split), 1, &*data);
+    let parts = fs.call(data);
+    rt.resume(parts, move |rt, mut parts| {
+        rt.emit(
             &node,
             &trace,
             inst,
@@ -1087,139 +870,203 @@ fn step_dac(
             EventInfo::SplitCardinality(parts.len()),
             &mut Payload::Many(&mut parts),
         );
-        if parts.is_empty() {
-            ctx.fail(EngineError::Eval(EvalError::EmptySplit { node: node.id }));
-            return;
-        }
-        // Children are new instances of this same d&C node.
-        fan_out(
-            ctx,
-            Arc::clone(&node),
-            trace.clone(),
-            inst,
-            parts,
-            cont,
-            |node, _| Arc::clone(node),
-        );
-    } else {
-        ctx.emit(
+        fan_out(rt, node, trace, inst, parts, cont, |node, _| {
+            let NodeKind::Map { inner, .. } = &node.kind else {
+                unreachable!()
+            };
+            Arc::clone(inner)
+        });
+    });
+}
+
+fn step_fork<R: Runtime>(
+    rt: &mut R,
+    node: Arc<Node>,
+    trace: Trace,
+    inst: InstanceId,
+    data: Data,
+    cont: Cont<R>,
+) {
+    let mut data = data;
+    rt.emit(
+        &node,
+        &trace,
+        inst,
+        When::Before,
+        Where::Skeleton,
+        EventInfo::None,
+        &mut Payload::Single(&mut data),
+    );
+    let NodeKind::Fork { fs, .. } = &node.kind else {
+        unreachable!("tag checked by dispatcher")
+    };
+    rt.emit(
+        &node,
+        &trace,
+        inst,
+        When::Before,
+        Where::Split,
+        EventInfo::None,
+        &mut Payload::Single(&mut data),
+    );
+    rt.meter(MuscleId::new(node.id, MuscleRole::Split), 1, &*data);
+    let parts = fs.call(data);
+    rt.resume(parts, move |rt, mut parts| {
+        rt.emit(
             &node,
             &trace,
             inst,
-            When::Before,
-            Where::NestedSkeleton,
-            EventInfo::ChildIndex(0),
-            &mut Payload::Single(&mut data),
+            When::After,
+            Where::Split,
+            EventInfo::SplitCardinality(parts.len()),
+            &mut Payload::Many(&mut parts),
         );
-        let inner = Arc::clone(inner);
-        // The base-case wrapper exists only to emit the closing events;
-        // with no listener it is the identity, so the parent's
-        // continuation passes through without a fresh box.
-        let cont = if ctx.tracing {
-            let node2 = Arc::clone(&node);
-            let trace2 = trace.clone();
-            Cont::f(move |ctx, mut out| {
-                ctx.emit(
-                    &node2,
-                    &trace2,
-                    inst,
-                    When::After,
-                    Where::NestedSkeleton,
-                    EventInfo::ChildIndex(0),
-                    &mut Payload::Single(&mut out),
-                );
-                ctx.emit(
-                    &node2,
-                    &trace2,
-                    inst,
-                    When::After,
-                    Where::Skeleton,
-                    EventInfo::None,
-                    &mut Payload::Single(&mut out),
-                );
-                cont.run(ctx, out);
-            })
-        } else {
-            cont
+        let NodeKind::Fork { inners, .. } = &node.kind else {
+            unreachable!("tag checked by dispatcher")
         };
-        schedule_node(ctx, &inner, Some(&trace), data, cont);
-    }
-}
-
-/// How deep inline continuation execution may nest on one worker before
-/// deferring to the pool's next-task slot. Balanced d&C recursions stay
-/// logarithmic and never get near this; the cap keeps degenerate shapes
-/// (a one-element-per-level split, a long while/pipe chain) from
-/// growing the worker's stack without bound — past it, the chain takes
-/// one slot round-trip through the worker loop and the depth resets.
-const MAX_INLINE_DEPTH: usize = 64;
-
-thread_local! {
-    /// Current inline nesting depth on this thread.
-    static INLINE_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Executes a step **inline in the current task** when the calling
-/// thread is a pool worker and the depth cap allows — guarded, but with
-/// no closure box and no dispatch — and otherwise boxes it and defers
-/// to the pool ([`ResizablePool::submit_next`]: the worker's TLS slot
-/// on a worker, a plain submit elsewhere — the latter keeps
-/// `Engine::submit` non-blocking on the caller's thread).
-///
-/// Inline execution behaves exactly like pool execution: the same
-/// poison short-circuit and panic guard apply, and the enclosing pool
-/// task is still running, so `wait_idle` cannot miss it.
-fn run_step(ctx: &Arc<SubCtx>, step: impl FnOnce(&Arc<SubCtx>) + Send + 'static) {
-    if ctx.pool.on_worker_thread() {
-        let depth = INLINE_DEPTH.get();
-        if depth < MAX_INLINE_DEPTH {
-            INLINE_DEPTH.set(depth + 1);
-            ctx.guarded(step);
-            INLINE_DEPTH.set(depth);
+        if parts.len() != inners.len() {
+            rt.fail(EngineError::Eval(EvalError::ForkArityMismatch {
+                node: node.id,
+                branches: inners.len(),
+                produced: parts.len(),
+            }));
             return;
         }
-    }
-    ctx.pool.submit_next(ctx.task(step));
+        fan_out(rt, node, trace, inst, parts, cont, |node, k| {
+            let NodeKind::Fork { inners, .. } = &node.kind else {
+                unreachable!()
+            };
+            Arc::clone(&inners[k])
+        });
+    });
+}
+
+fn step_dac<R: Runtime>(
+    rt: &mut R,
+    node: Arc<Node>,
+    trace: Trace,
+    inst: InstanceId,
+    data: Data,
+    cont: Cont<R>,
+) {
+    let mut data = data;
+    rt.emit(
+        &node,
+        &trace,
+        inst,
+        When::Before,
+        Where::Skeleton,
+        EventInfo::None,
+        &mut Payload::Single(&mut data),
+    );
+    let NodeKind::DivideConquer { fc, .. } = &node.kind else {
+        unreachable!("tag checked by dispatcher")
+    };
+    rt.emit(
+        &node,
+        &trace,
+        inst,
+        When::Before,
+        Where::Condition,
+        EventInfo::None,
+        &mut Payload::Single(&mut data),
+    );
+    rt.meter(MuscleId::new(node.id, MuscleRole::Condition), 1, &*data);
+    let divide = fc.call(&data);
+    rt.resume(divide, move |rt, divide| {
+        rt.emit(
+            &node,
+            &trace,
+            inst,
+            When::After,
+            Where::Condition,
+            EventInfo::ConditionResult(divide),
+            &mut Payload::Single(&mut data),
+        );
+        let NodeKind::DivideConquer { fs, inner, .. } = &node.kind else {
+            unreachable!("tag checked by dispatcher")
+        };
+        if divide {
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::Before,
+                Where::Split,
+                EventInfo::None,
+                &mut Payload::Single(&mut data),
+            );
+            rt.meter(MuscleId::new(node.id, MuscleRole::Split), 1, &*data);
+            let parts = fs.call(data);
+            rt.resume(parts, move |rt, mut parts| {
+                rt.emit(
+                    &node,
+                    &trace,
+                    inst,
+                    When::After,
+                    Where::Split,
+                    EventInfo::SplitCardinality(parts.len()),
+                    &mut Payload::Many(&mut parts),
+                );
+                if parts.is_empty() {
+                    rt.fail(EngineError::Eval(EvalError::EmptySplit { node: node.id }));
+                    return;
+                }
+                // Children are new instances of this same d&C node.
+                fan_out(rt, node, trace, inst, parts, cont, |node, _| {
+                    Arc::clone(node)
+                });
+            });
+        } else {
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::Before,
+                Where::NestedSkeleton,
+                EventInfo::ChildIndex(0),
+                &mut Payload::Single(&mut data),
+            );
+            let inner = Arc::clone(inner);
+            let cont = close_after_child(rt, &node, &trace, inst, 0, cont);
+            schedule_node(rt, &inner, Some(&trace), data, cont);
+        }
+    });
 }
 
 /// Fans `parts` out to child skeletons chosen by `pick_child(node, k)`,
-/// joins the results in order, then schedules the merge task which also
+/// joins the results in order, then schedules the merge step which also
 /// closes the parent instance (`After, Merge` then `After, Skeleton`).
 ///
-/// All children but the last are handed to the pool as **one batch**
-/// (structural children still start inline), so a wide split costs one
-/// queue-lock acquisition instead of one per child. The **last child
-/// runs inline in the parent's task**: the parent would otherwise die
-/// right after submitting it, and under LIFO scheduling this worker
-/// would pop that exact task next anyway — inlining skips the
-/// queue round-trip entirely while idle workers steal the batched
-/// siblings. Inline nesting is depth-capped ([`MAX_INLINE_DEPTH`]); past
-/// the cap the last child is submitted like its siblings.
-fn fan_out(
-    ctx: &Arc<SubCtx>,
+/// All children but the last are handed to the runtime as **one batch**
+/// (structural children still start inline), so a wide split costs the
+/// pool one queue-lock acquisition instead of one per child. The **last
+/// child goes through [`Runtime::run_step`]**: on the pool it runs
+/// inline in the parent's task — the parent would otherwise die right
+/// after submitting it, and under LIFO scheduling this worker would pop
+/// that exact task next anyway — while idle workers steal the batched
+/// siblings.
+fn fan_out<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     parts: Vec<Data>,
-    cont: Cont,
+    cont: Cont<R>,
     pick_child: impl Fn(&Arc<Node>, usize) -> Arc<Node> + Copy,
 ) {
     if parts.is_empty() {
-        spawn_merge(ctx, node, trace, inst, Vec::new(), cont);
+        spawn_merge(rt, node, trace, inst, Vec::new(), cont);
         return;
     }
     let n = parts.len();
     let join = Join::new(n, cont, node, trace, inst);
     // A binary fan-out (every recursive d&C) has exactly one batched
-    // sibling: submit it directly and skip the batch vector.
-    let mut batch: Vec<Task> = if n > 2 {
-        Vec::with_capacity(n - 1)
-    } else {
-        Vec::new()
-    };
+    // sibling: submit it directly and skip the batch.
+    let mut batch = rt.new_batch(if n > 2 { n - 1 } else { 0 });
     let mut last: Option<(Arc<Node>, Data)> = None;
     for (k, mut part) in parts.into_iter().enumerate() {
-        ctx.emit(
+        rt.emit(
             &join.node,
             &join.trace,
             inst,
@@ -1231,72 +1078,58 @@ fn fan_out(
         let child = pick_child(&join.node, k);
         if k + 1 == n {
             // Held back: the last child starts only after its siblings
-            // are in the pool for thieves, then runs inline here.
+            // are handed over for thieves.
             last = Some((child, part));
         } else {
             let child_cont = Cont::Join {
                 join: Arc::clone(&join),
                 k,
             };
-            if n == 2 {
-                schedule_node_to(
-                    ctx,
-                    &child,
-                    Some(&join.trace),
-                    part,
-                    child_cont,
-                    Sink::Submit,
-                );
+            let sink = if n == 2 {
+                Sink::Submit
             } else {
-                schedule_node_to(
-                    ctx,
-                    &child,
-                    Some(&join.trace),
-                    part,
-                    child_cont,
-                    Sink::Batch(&mut batch),
-                );
-            }
+                Sink::Batch(&mut batch)
+            };
+            schedule_node_to(rt, &child, Some(&join.trace), part, child_cont, sink);
         }
     }
-    ctx.pool.submit_batch(batch);
+    rt.submit_batch(batch);
     if let Some((child, part)) = last {
         let child_cont = Cont::Join {
             join: Arc::clone(&join),
             k: n - 1,
         };
-        schedule_node(ctx, &child, Some(&join.trace), part, child_cont);
+        schedule_node(rt, &child, Some(&join.trace), part, child_cont);
     }
 }
 
-/// Runs the merge on the worker that closed the join — inline in the
-/// closing child's task when the depth cap allows, via the pool's TLS
-/// slot otherwise. Either way the merge is started by the last child
-/// and runs on its thread (the paper's discipline and its listener
-/// thread guarantee); inlining merely merges the task identities.
-fn spawn_merge(
-    ctx: &Arc<SubCtx>,
+/// Runs the merge as the step that follows the join's closing child —
+/// started by the last child and, on the pool, run on its thread (the
+/// paper's discipline and its listener thread guarantee).
+fn spawn_merge<R: Runtime>(
+    rt: &mut R,
     node: Arc<Node>,
     trace: Trace,
     inst: InstanceId,
     slots: Vec<Option<Data>>,
-    cont: Cont,
+    cont: Cont<R>,
 ) {
-    run_step(ctx, move |ctx| {
+    rt.run_step(node, move |rt, node| {
         let fm = match &node.kind {
             NodeKind::Map { fm, .. }
             | NodeKind::Fork { fm, .. }
             | NodeKind::DivideConquer { fm, .. } => fm,
             _ => unreachable!("merge scheduled on a kind without a merge muscle"),
         };
-        let mut out = if ctx.tracing {
+        let muscle = MuscleId::new(node.id, MuscleRole::Merge);
+        let out = if rt.tracing() {
             // Listeners may transform the partial results, so the
             // event payload needs the plain vector shape.
             let mut results: Vec<Data> = slots
                 .into_iter()
                 .map(|s| s.expect("fan-out result slot unfilled at merge"))
                 .collect();
-            ctx.emit(
+            rt.emit(
                 &node,
                 &trace,
                 inst,
@@ -1305,30 +1138,34 @@ fn spawn_merge(
                 EventInfo::None,
                 &mut Payload::Many(&mut results),
             );
+            rt.meter(muscle, results.len(), &results);
             fm.call(results)
         } else {
             // No listener can observe this submission: the join's slot
             // vector feeds the merge muscle as-is, with no re-collect.
+            rt.meter(muscle, slots.len(), &slots);
             fm.call_slots(slots)
         };
-        ctx.emit(
-            &node,
-            &trace,
-            inst,
-            When::After,
-            Where::Merge,
-            EventInfo::None,
-            &mut Payload::Single(&mut out),
-        );
-        ctx.emit(
-            &node,
-            &trace,
-            inst,
-            When::After,
-            Where::Skeleton,
-            EventInfo::None,
-            &mut Payload::Single(&mut out),
-        );
-        cont.run(ctx, out);
+        rt.resume(out, move |rt, mut out| {
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::After,
+                Where::Merge,
+                EventInfo::None,
+                &mut Payload::Single(&mut out),
+            );
+            rt.emit(
+                &node,
+                &trace,
+                inst,
+                When::After,
+                Where::Skeleton,
+                EventInfo::None,
+                &mut Payload::Single(&mut out),
+            );
+            cont.run(rt, out);
+        });
     });
 }

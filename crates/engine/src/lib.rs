@@ -19,6 +19,10 @@
 //! active threads" at fan-out/steal boundaries, and raising the LP
 //! mid-run immediately gives new workers the batched children to take.
 //!
+//! The interpreter itself ([`exec`]) is generic over an
+//! [`exec::Runtime`]: the pool is one runtime, and `askel-sim` runs the
+//! same interpreter under virtual time.
+//!
 //! The listener set is sampled when a submission starts: if no listener
 //! is registered at that moment, the submission skips the entire event
 //! path (instance ids, traces, emission) for its lifetime. Register
@@ -47,9 +51,10 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-mod exec;
+pub mod exec;
 pub mod future;
 mod metrics;
+mod pooled;
 pub mod stream;
 
 use std::sync::Arc;
@@ -171,7 +176,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit(
+        pooled::submit(
             self.pool.clone(),
             Arc::clone(&self.registry),
             Arc::clone(&self.clock),
@@ -196,7 +201,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit_batch(
+        pooled::submit_batch(
             self.pool.clone(),
             Arc::clone(&self.registry),
             Arc::clone(&self.clock),

@@ -3,11 +3,11 @@
 //! The paper's evaluation ran on a 12-core / 24-thread Xeon; the autonomic
 //! *mechanism*, however, is platform independent (the paper says so
 //! explicitly, §4/§6). This crate provides that platform as a simulator: it
-//! interprets the same AST as `askel-engine`, emits the same events through
-//! the same listener registry, and honours the same LIFO / no-preemption
-//! scheduling discipline — but time is **virtual**: muscle durations come
-//! from a [`cost::CostModel`] and a [`ManualClock`] advances
-//! through a completion-event queue.
+//! runs `askel-engine`'s interpreter (`askel_engine::exec`) on the same AST,
+//! emits the same events through the same listener registry, and honours
+//! the same LIFO / no-preemption scheduling discipline — but time is
+//! **virtual**: muscle durations come from a [`cost::CostModel`] and a
+//! [`ManualClock`] advances through a completion-event queue.
 //!
 //! Why this exists:
 //!
@@ -56,7 +56,6 @@
 
 pub mod components;
 pub mod cost;
-mod exec;
 mod rt;
 pub mod sched;
 pub mod workers;
@@ -64,6 +63,7 @@ pub mod workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use askel_engine::EngineError;
 use askel_events::ListenerRegistry;
 use askel_pool::PoolTelemetry;
 use askel_skeletons::{Clock, Data, EvalError, ManualClock, Skel, TimeNs};
@@ -90,6 +90,9 @@ pub enum SimError {
     /// The root result failed to downcast (impossible through the typed
     /// API).
     WrongResultType,
+    /// The interpreter detected an internal inconsistency (see
+    /// [`EngineError::Internal`]).
+    Internal(&'static str),
 }
 
 impl std::fmt::Display for SimError {
@@ -104,6 +107,7 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::WrongResultType => write!(f, "root result had an unexpected type"),
+            SimError::Internal(m) => write!(f, "interpreter internal error: {m}"),
         }
     }
 }
@@ -113,6 +117,18 @@ impl std::error::Error for SimError {}
 impl From<EvalError> for SimError {
     fn from(e: EvalError) -> Self {
         SimError::Eval(e)
+    }
+}
+
+/// The interpreter's failures, as the simulator reports them.
+impl From<EngineError> for SimError {
+    fn from(e: EngineError) -> Self {
+        match e {
+            EngineError::Eval(e) => SimError::Eval(e),
+            EngineError::MusclePanic(m) => SimError::MusclePanic(m),
+            EngineError::Internal(m) => SimError::Internal(m),
+            EngineError::Shutdown => SimError::Internal("engine shut down"),
+        }
     }
 }
 

@@ -1,47 +1,32 @@
 //! The discrete-event runtime: virtual clock, worker slots, policy-ordered
-//! ready/completion queues, and component ticks.
+//! ready/completion queues, and component ticks — and the [`Runtime`]
+//! hooks that run `askel-engine`'s interpreter on them.
 
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
+use askel_engine::error::panic_message;
+use askel_engine::exec::{self, Runtime, Step};
+use askel_engine::EngineError;
+use askel_events::{ListenerRegistry, Trace};
 use askel_pool::PoolTelemetry;
-use askel_skeletons::{Clock, Data, InstanceId, ManualClock, MuscleId, Node, TimeNs};
+use askel_skeletons::{Clock, Data, ManualClock, MuscleId, Node, TimeNs};
 
 use crate::components::{Command, Component};
 use crate::cost::{CostModel, MuscleCall};
-use crate::exec;
 use crate::sched::{EventQueue, OrderingPolicy, ReadyQueue};
 use crate::workers::WorkerModel;
 use crate::{SimError, SimLpControl};
 
-/// A unit of simulated work. Returning [`Step::Busy`] keeps the worker
-/// occupied until `now + dur`, when `then` runs; [`Step::Done`] releases
-/// the worker.
-pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt) -> Step>;
-
-/// Continuation receiving a node's result at the virtual instant it is
-/// produced.
-pub(crate) type SimCont = Box<dyn FnOnce(&mut SimRt, Data)>;
-
-/// Outcome of one work step.
-pub(crate) enum Step {
-    /// Worker stays busy for `dur`; `then` runs at completion time.
-    Busy {
-        /// Virtual duration of the muscle just metered.
-        dur: TimeNs,
-        /// Continuation at completion time.
-        then: SimWork,
-    },
-    /// Chain finished; the worker token is released.
-    Done,
-}
+/// A unit of simulated work: a dispatched step, or the rest of a step
+/// resumed when its muscle's virtual duration has elapsed.
+type SimWork = Box<dyn FnOnce(&mut SimRt)>;
 
 /// A ready task plus the placement annotation of the node that produced
 /// it (`None` = run anywhere).
-pub(crate) struct ReadyTask {
+struct ReadyTask {
     placement: Option<Arc<str>>,
     work: SimWork,
 }
@@ -55,7 +40,7 @@ struct Completion {
 
 /// The simulator's mutable state, threaded through every work step.
 pub(crate) struct SimRt {
-    pub(crate) now: TimeNs,
+    now: TimeNs,
     clock: Arc<ManualClock>,
     registry: Arc<ListenerRegistry>,
     cost: Arc<dyn CostModel>,
@@ -70,82 +55,32 @@ pub(crate) struct SimRt {
     /// `occupied` so slot picks are O(log n) instead of O(capacity).
     free: BTreeSet<usize>,
     muscle_counts: HashMap<MuscleId, u64>,
+    /// Duration of the muscle the running step just metered.
+    metered: TimeNs,
+    /// Set by [`Runtime::resume`]: the running step's chain stays busy
+    /// for the duration, then continues with the work.
+    pending: Option<(TimeNs, SimWork)>,
     /// Scheduler events processed: work-step executions + component ticks.
-    pub(crate) events: u64,
+    events: u64,
     /// Results of finished stream items, filled by per-item root
     /// continuations during [`run_stream`].
     stream_done: Vec<(usize, Data)>,
-    pub(crate) error: Option<SimError>,
-    pub(crate) result: Option<Data>,
+    error: Option<SimError>,
+    result: Option<Data>,
 }
 
 impl SimRt {
-    /// Queues simulated work on the policy-ordered ready pool, tagged with
-    /// the placement annotation of the node that produced it.
-    pub(crate) fn push_ready(&mut self, placement: Option<Arc<str>>, work: SimWork) {
-        self.ready.push(ReadyTask { placement, work });
-    }
-
-    /// Emits an event at the current virtual instant.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit(
-        &self,
-        node: &Node,
-        trace: &Trace,
-        index: InstanceId,
-        when: When,
-        wher: Where,
-        info: EventInfo,
-        payload: &mut Payload<'_>,
-    ) {
-        if self.registry.is_empty() {
-            return;
-        }
-        let event = Event {
-            node: node.id,
-            kind: node.tag(),
-            when,
-            wher,
-            index,
-            trace: trace.clone(),
-            timestamp: self.now,
-            info,
-        };
-        self.registry.emit(payload, &event);
-    }
-
-    /// Asks the cost model for this invocation's duration and advances the
-    /// muscle's invocation counter.
-    pub(crate) fn cost_of(&mut self, muscle: MuscleId, items: usize, payload: &dyn Any) -> TimeNs {
-        let seq_no = {
-            let c = self.muscle_counts.entry(muscle).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        self.cost.duration(&MuscleCall {
-            muscle,
-            role: muscle.role,
-            seq_no,
-            items,
-            payload,
-        })
-    }
-
-    /// Runs a muscle, converting a panic into a simulation failure.
-    /// Returns `None` when the run is now poisoned.
-    pub(crate) fn guard<T>(&mut self, f: impl FnOnce() -> T) -> Option<T> {
-        match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(v) => Some(v),
-            Err(p) => {
-                self.fail(SimError::MusclePanic(panic_message(p.as_ref())));
-                None
-            }
-        }
+    /// Queues a dispatched step on the policy-ordered ready pool, tagged
+    /// with the placement annotation of its node.
+    fn push_ready(&mut self, node: Arc<Node>, step: impl Step<Self>) {
+        self.ready.push(ReadyTask {
+            placement: node.placement.clone(),
+            work: Box::new(move |rt| step(rt, node)),
+        });
     }
 
     /// Poisons the run (first failure wins).
-    pub(crate) fn fail(&mut self, err: SimError) {
+    fn poison(&mut self, err: SimError) {
         if self.error.is_none() {
             self.error = Some(err);
         }
@@ -215,8 +150,9 @@ impl SimRt {
 
     fn execute(&mut self, work: SimWork, slot: usize, overhead: TimeNs) {
         self.events += 1;
-        match work(self) {
-            Step::Busy { dur, then } => {
+        self.guarded(work);
+        match self.pending.take() {
+            Some((dur, then)) => {
                 // Asymmetric node speeds: the slot's cost factor scales
                 // the muscle duration (not the communication overhead).
                 let factor = self.workers.cost_factor(slot);
@@ -229,7 +165,7 @@ impl SimRt {
                 self.completions
                     .push(self.now + dur + overhead, Completion { work: then, slot });
             }
-            Step::Done => {
+            None => {
                 self.occupied.remove(&slot);
                 if slot < self.workers.capacity() {
                     self.free.insert(slot);
@@ -278,7 +214,7 @@ impl SimRt {
         let Some(completion_at) = self.completions.peek_at() else {
             if !self.ready.is_empty() && self.occupied.is_empty() {
                 let (at, ready) = (self.now, self.ready.len());
-                self.fail(SimError::Stalled { at, ready });
+                self.poison(SimError::Stalled { at, ready });
             }
             return false;
         };
@@ -333,16 +269,6 @@ impl SimRt {
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Outcome of one simulated run: the erased result (or error) plus the
 /// worker model handed back to the engine either way.
 pub(crate) type RunResult = Result<(Data, Box<dyn WorkerModel>), (SimError, Box<dyn WorkerModel>)>;
@@ -369,6 +295,8 @@ fn new_rt(
         occupied: BTreeSet::new(),
         free: BTreeSet::new(),
         muscle_counts: HashMap::new(),
+        metered: TimeNs::ZERO,
+        pending: None,
         events: 0,
         stream_done: Vec::new(),
         error: None,
@@ -395,10 +323,9 @@ pub(crate) fn run(
     let mut rt = new_rt(
         registry, clock, telemetry, cost, workers, lp_control, policy,
     );
-    let root_cont: SimCont = Box::new(|rt, data| {
+    exec::start(&mut rt, node, input, |rt: &mut SimRt, data| {
         rt.result = Some(data);
     });
-    exec::schedule_node(&mut rt, node, None, input, root_cont);
     rt.run_loop(&mut []);
     if let Some(err) = rt.error {
         return Err((err, rt.workers));
@@ -467,10 +394,9 @@ pub(crate) fn run_stream(
                     let index = next_index;
                     next_index += 1;
                     in_flight.push(index);
-                    let root: SimCont = Box::new(move |rt, data| {
+                    exec::start(&mut rt, &node, input, move |rt: &mut SimRt, data| {
                         rt.stream_done.push((index, data));
                     });
-                    exec::schedule_node(&mut rt, &node, None, input, root);
                 }
                 None => source_done = true,
             }
@@ -517,4 +443,88 @@ pub(crate) fn run_stream(
         finished_at: rt.now,
     };
     (stats, rt.workers)
+}
+
+/// The discrete-event implementation of the interpreter's hooks. Every
+/// dispatch hook queues the step on the ready pool under its node's
+/// placement, so each muscle-kind step, merge and while iteration is one
+/// scheduler event; a muscle call is charged its cost-model duration
+/// and the step resumes as a completion that much later.
+impl Runtime for SimRt {
+    type Batch = ();
+
+    fn run_step(&mut self, node: Arc<Node>, step: impl Step<Self>) {
+        self.push_ready(node, step);
+    }
+
+    fn submit(&mut self, node: Arc<Node>, step: impl Step<Self>) {
+        self.push_ready(node, step);
+    }
+
+    fn new_batch(&self, _siblings: usize) {}
+
+    fn push_batch(&mut self, _batch: &mut (), node: Arc<Node>, step: impl Step<Self>) {
+        self.push_ready(node, step);
+    }
+
+    fn submit_batch(&mut self, _batch: ()) {}
+
+    /// Asks the cost model for this invocation's duration and advances
+    /// the muscle's invocation counter.
+    fn meter(&mut self, muscle: MuscleId, items: usize, input: &dyn Any) {
+        let count = self.muscle_counts.entry(muscle).or_insert(0);
+        let seq_no = *count;
+        *count += 1;
+        self.metered = self.cost.duration(&MuscleCall {
+            muscle,
+            role: muscle.role,
+            seq_no,
+            items,
+            payload: input,
+        });
+    }
+
+    fn resume<T: Send + 'static>(
+        &mut self,
+        value: T,
+        then: impl FnOnce(&mut Self, T) + Send + 'static,
+    ) {
+        let dur = std::mem::replace(&mut self.metered, TimeNs::ZERO);
+        debug_assert!(self.pending.is_none(), "one resume per step");
+        self.pending = Some((dur, Box::new(move |rt| then(rt, value))));
+    }
+
+    fn now(&self) -> TimeNs {
+        self.now
+    }
+
+    fn registry(&self) -> &ListenerRegistry {
+        &self.registry
+    }
+
+    /// Always on: instance identities are built whether or not a
+    /// listener is registered yet, and cost models see a merge's input
+    /// as the plain `Vec<Data>` of partial results.
+    fn tracing(&self) -> bool {
+        true
+    }
+
+    fn empty_trace(&self) -> Trace {
+        Trace::empty()
+    }
+
+    fn fail(&mut self, err: EngineError) {
+        self.poison(err.into());
+    }
+
+    fn guarded(&mut self, step: impl FnOnce(&mut Self)) {
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| step(self))) {
+            self.pending = None;
+            self.metered = TimeNs::ZERO;
+            self.poison(SimError::MusclePanic(panic_message(p.as_ref())));
+        }
+    }
 }

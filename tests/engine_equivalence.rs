@@ -1,6 +1,7 @@
 //! Property tests: the threaded engine, the simulator and the sequential
 //! reference interpreter must agree on every program — for randomly
-//! generated skeleton ASTs over `i64`.
+//! generated skeleton ASTs over `i64` — and the two runtimes of the
+//! shared interpreter must emit the same events.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,6 +9,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use askel_engine::Engine;
+use askel_events::util::EventCollector;
 use askel_sim::cost::ZeroCost;
 use askel_sim::SimEngine;
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, Skel};
@@ -146,6 +148,35 @@ proptest! {
         let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
         let got = sim.run(&program.skel, input).expect("sim failed");
         prop_assert_eq!(got.result, expected);
+    }
+
+    #[test]
+    fn both_runtimes_emit_the_same_events(program in program_strategy(), input in -100i64..100) {
+        // Arrival order differs between threads; the multiset may not.
+        let multiset = |events: &EventCollector| {
+            let mut keys: Vec<String> = events
+                .snapshot()
+                .iter()
+                .map(|e| format!("{:?} {:?} {:?} {:?}", e.node, e.when, e.wher, e.info))
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let engine = Engine::new(2);
+        let threaded = EventCollector::new();
+        engine.registry().add_listener(threaded.clone());
+        engine
+            .submit(&program.skel, input)
+            .get_timeout(Duration::from_secs(60))
+            .expect("engine timed out")
+            .expect("engine failed");
+        engine.shutdown();
+        let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
+        let simulated = EventCollector::new();
+        sim.registry().add_listener(simulated.clone());
+        sim.run(&program.skel, input).expect("sim failed");
+        prop_assert!(!simulated.is_empty());
+        prop_assert_eq!(multiset(&threaded), multiset(&simulated));
     }
 
     #[test]

@@ -38,20 +38,54 @@ fn panic_in_nested_child_poisons_only_that_submission() {
 
 #[test]
 fn panicking_listener_poisons_like_a_muscle() {
-    let program: Skel<i64, i64> = seq(|x: i64| x);
-    let engine = Engine::new(1);
-    engine.registry().add_listener(Arc::new(FnListener(
-        |_: &mut Payload<'_>, _: &autonomic_skeletons::events::Event| {
-            panic!("listener bug");
-        },
-    )));
-    let err = engine
-        .submit(&program, 1)
-        .get_timeout(Duration::from_secs(30))
-        .unwrap()
-        .unwrap_err();
-    assert!(matches!(err, EngineError::MusclePanic(m) if m.contains("listener bug")));
-    engine.shutdown();
+    use autonomic_skeletons::sim::SimError;
+    let listener = || {
+        Arc::new(FnListener(
+            |_: &mut Payload<'_>, _: &autonomic_skeletons::events::Event| {
+                panic!("listener bug");
+            },
+        ))
+    };
+    // A muscle root raises its first event inside a pool task; a
+    // structural root raises it while being scheduled, on the caller's
+    // thread. Both run under the step guard.
+    let programs: [Skel<i64, i64>; 2] = [seq(|x: i64| x), farm(seq(|x: i64| x))];
+    for program in programs {
+        let engine = Engine::new(1);
+        engine.registry().add_listener(listener());
+        let err = engine
+            .submit(&program, 1)
+            .get_timeout(Duration::from_secs(30))
+            .unwrap()
+            .unwrap_err();
+        assert!(matches!(err, EngineError::MusclePanic(m) if m.contains("listener bug")));
+        engine.shutdown();
+
+        // The simulator runs the same interpreter under the same step
+        // guard: the panic poisons the run instead of unwinding out of it.
+        let mut sim = SimEngine::new(1, Arc::new(ZeroCost));
+        sim.registry().add_listener(listener());
+        let err = sim.run(&program, 1).unwrap_err();
+        assert!(matches!(err, SimError::MusclePanic(m) if m.contains("listener bug")));
+
+        // A stream resets the poisoned machine and carries on, as it does
+        // for a panicking muscle: every item reports the panic.
+        let mut sim = SimEngine::new(1, Arc::new(ZeroCost));
+        sim.registry().add_listener(listener());
+        let mut outcomes = Vec::new();
+        let report = sim.run_stream(
+            1,
+            |i| (i < 3).then(|| (program.clone(), i as i64)),
+            |i, r| outcomes.push((i, r)),
+            &mut [],
+        );
+        assert_eq!(report.items, 3);
+        assert_eq!(outcomes.len(), 3);
+        for (i, (index, outcome)) in outcomes.into_iter().enumerate() {
+            assert_eq!(index, i);
+            assert!(matches!(outcome, Err(SimError::MusclePanic(m)) if m.contains("listener bug")));
+        }
+    }
 }
 
 #[test]

@@ -7,11 +7,14 @@
 //! any failure names its seed, and `ASKEL_SIM_SEED=<seed>` replays it
 //! bit-for-bit.
 //!
-//! Two acceptance scenarios run under every seed, twice each:
+//! Two acceptance scenarios and two chaos streams run under every seed,
+//! twice each:
 //!
-//! * the skewed-cluster offload scenario (`tests/adaptive.rs`), and
+//! * the skewed-cluster offload scenario (`tests/adaptive.rs`),
 //! * the remote-errors fallback-swap scenario
-//!   (`tests/failure_injection.rs`).
+//!   (`tests/failure_injection.rs`), and
+//! * a stream where a seeded item's muscle panics, and one where a
+//!   listener panics on a seeded event.
 //!
 //! Per seed we assert the *order-independent* invariants — results equal
 //! the sequential reference, exactly the poisoned items fail, at most one
@@ -323,9 +326,158 @@ mod remote_errors {
     }
 }
 
-/// The sweep: both scenarios, every seed, run twice. Invariants hold
-/// under every schedule; the second run replays the first bit-for-bit
-/// (decision-log virtual timestamps included).
+/// Scenario C — chaos streams: a window-1 stream through one persistent
+/// simulated machine in which one seeded item fails, either because its
+/// muscle panics or because a listener panics on a seeded event of it.
+/// The step guard turns either panic into `MusclePanic` for that item
+/// alone; the machine resets and the later items run normally.
+mod chaos {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    use autonomic_skeletons::events::{util::CountingListener, Event};
+    use autonomic_skeletons::sim::SimError;
+
+    const ITEMS: usize = 10;
+    /// The input of the item whose muscle panics; no part of any other
+    /// item ever equals it.
+    const POISON: i64 = 1_000_003;
+
+    #[derive(Clone, Copy)]
+    pub enum Fault {
+        Muscle,
+        Listener,
+    }
+
+    pub struct Run {
+        pub bad: usize,
+        pub outcomes: Vec<Result<i64, SimError>>,
+        pub finished_at: TimeNs,
+        pub inputs: Vec<i64>,
+        pub program: Skel<i64, i64>,
+    }
+
+    /// SplitMix64: the seeded choices of failing item and event.
+    fn mix(seed: u64, k: u64) -> u64 {
+        let mut z = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Farm over a pipe whose second stage fans out into a d&C per part:
+    /// structural, fan-out, merge and recursion steps in every item.
+    fn program() -> Skel<i64, i64> {
+        farm(pipe(
+            seq(|x: i64| x.wrapping_add(1)),
+            map(
+                |x: i64| vec![x, x.wrapping_add(1), x.wrapping_add(2)],
+                dac(
+                    |x: &i64| x.rem_euclid(16) > 4,
+                    |x: i64| vec![x - 1, x - 2],
+                    seq(|x: i64| {
+                        if x == POISON + 1 {
+                            panic!("muscle chaos");
+                        }
+                        x.wrapping_mul(3)
+                    }),
+                    |parts: Vec<i64>| parts.iter().fold(0i64, |s, v| s.wrapping_add(*v)),
+                ),
+                |parts: Vec<i64>| parts.iter().fold(0i64, |s, v| s.wrapping_add(*v)),
+            ),
+        ))
+    }
+
+    fn machine(policy: OrderingPolicy) -> SimEngine {
+        SimEngine::new(3, Arc::new(TableCost::new(TimeNs::from_millis(1)))).ordering(policy)
+    }
+
+    /// Events one item of `program` raises.
+    fn events_per_item(program: &Skel<i64, i64>) -> usize {
+        let sim = &mut machine(OrderingPolicy::Deterministic);
+        let counter = CountingListener::new();
+        sim.registry().add_listener(counter.clone());
+        sim.run(program, 0).expect("clean item");
+        counter.count()
+    }
+
+    pub fn run_once(policy: OrderingPolicy, fault: Fault, seed: u64) -> Run {
+        let program = program();
+        let bad = (mix(seed, 1) % ITEMS as u64) as usize;
+        let inputs: Vec<i64> = (0..ITEMS)
+            .map(|i| match fault {
+                Fault::Muscle if i == bad => POISON,
+                _ => i as i64 * 7 - 20,
+            })
+            .collect();
+        let mut sim = machine(policy);
+        // The listener panics on the `nth` event it sees while armed; the
+        // source arms it for the failing item only (window 1: one item in
+        // flight at a time).
+        let armed = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(AtomicUsize::new(0));
+        if let Fault::Listener = fault {
+            let nth = (mix(seed, 2) % events_per_item(&program) as u64) as usize;
+            let (armed, seen) = (Arc::clone(&armed), Arc::clone(&seen));
+            sim.registry().add_listener(Arc::new(FnListener(
+                move |_: &mut Payload<'_>, _: &Event| {
+                    if armed.load(Ordering::SeqCst) && seen.fetch_add(1, Ordering::SeqCst) == nth {
+                        panic!("listener chaos");
+                    }
+                },
+            )));
+        }
+        let mut outcomes: Vec<Option<Result<i64, SimError>>> = vec![None; ITEMS];
+        let report = sim.run_stream(
+            1,
+            |i| {
+                armed.store(i == bad, Ordering::SeqCst);
+                seen.store(0, Ordering::SeqCst);
+                inputs.get(i).map(|&x| (program.clone(), x))
+            },
+            |i, r| outcomes[i] = Some(r),
+            &mut [],
+        );
+        assert_eq!(report.items, ITEMS);
+        Run {
+            bad,
+            outcomes: outcomes
+                .into_iter()
+                .map(|o| o.expect("every item reported"))
+                .collect(),
+            finished_at: report.finished_at,
+            inputs,
+            program,
+        }
+    }
+
+    pub fn check_invariants(run: &Run, fault: Fault, seed: u64) {
+        let expected = match fault {
+            Fault::Muscle => "muscle chaos",
+            Fault::Listener => "listener chaos",
+        };
+        for (i, outcome) in run.outcomes.iter().enumerate() {
+            if i == run.bad {
+                assert!(
+                    matches!(outcome, Err(SimError::MusclePanic(m)) if m.contains(expected)),
+                    "item {i} should report the {expected} panic, got {outcome:?} — {}",
+                    repro(seed)
+                );
+            } else {
+                assert_eq!(
+                    outcome.as_ref().ok(),
+                    Some(&run.program.apply(run.inputs[i])),
+                    "item {i} — {}",
+                    repro(seed)
+                );
+            }
+        }
+    }
+}
+
+/// The sweep: both scenarios and both chaos streams, every seed, run
+/// twice. Invariants hold under every schedule; the second run replays
+/// the first bit-for-bit (decision-log virtual timestamps included).
 #[test]
 fn seeded_ordering_sweep_preserves_invariants_and_replays() {
     for seed in seeds() {
@@ -354,6 +506,19 @@ fn seeded_ordering_sweep_preserves_invariants_and_replays() {
             repro(seed)
         );
         assert_eq!(a.outcomes, b.outcomes, "{}", repro(seed));
+
+        for fault in [chaos::Fault::Muscle, chaos::Fault::Listener] {
+            let a = chaos::run_once(policy, fault, seed);
+            chaos::check_invariants(&a, fault, seed);
+            let b = chaos::run_once(policy, fault, seed);
+            assert_eq!(
+                a.outcomes,
+                b.outcomes,
+                "chaos outcomes must replay — {}",
+                repro(seed)
+            );
+            assert_eq!(a.finished_at, b.finished_at, "{}", repro(seed));
+        }
     }
 }
 
