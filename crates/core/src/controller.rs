@@ -29,9 +29,9 @@ use parking_lot::Mutex;
 use askel_events::{Event, Listener, Payload, When, Where};
 use askel_skeletons::{MuscleDescriptor, Node, TimeNs};
 
-use crate::adg::AdgBuilder;
+use crate::adg::{Adg, AdgBuilder, FoldCache};
 use crate::estimate::{EstimatorTable, Snapshot};
-use crate::strategy::{best_effort, limited_lp};
+use crate::strategy::{best_effort, LpLayout};
 use crate::tracker::SmTracker;
 
 /// Something that can change an engine's level of parallelism.
@@ -259,6 +259,10 @@ pub struct AnalysisRecord {
 
 struct Inner {
     tracker: SmTracker,
+    /// Finished subtrees of the live submission, folded once.
+    folds: FoldCache,
+    /// The previous analysis' graph, rebuilt in place by the next one.
+    spare: Adg,
     current_lp: usize,
     deadline: Option<TimeNs>,
     last_analysis: Option<TimeNs>,
@@ -298,6 +302,8 @@ impl AutonomicController {
             actuator,
             inner: Mutex::new(Inner {
                 tracker,
+                folds: FoldCache::new(),
+                spare: Adg::default(),
                 current_lp: initial_lp,
                 deadline: None,
                 last_analysis: None,
@@ -428,28 +434,44 @@ impl AutonomicController {
         inner.last_analysis = Some(now);
         inner.analyses += 1;
 
-        let adg = AdgBuilder::new(&inner.tracker).build(&self.ast);
-        if adg.is_empty() {
-            return;
+        let spare = std::mem::take(&mut inner.spare);
+        let adg = AdgBuilder::new(&inner.tracker)
+            .recycle(spare)
+            .fold_finished(now, &mut inner.folds)
+            .build(&self.ast);
+        if !adg.is_empty() {
+            self.decide(inner, &adg, now, deadline);
         }
+        inner.spare = adg;
+    }
+
+    /// Lays `adg` out and changes the LP if the goal asks for it.
+    fn decide(&self, inner: &mut Inner, adg: &Adg, now: TimeNs, deadline: TimeNs) {
+        let layout = LpLayout::new(adg);
+        let limited_lp = |lp: usize| layout.limited_lp(now, lp).finish;
         let cur = inner.current_lp;
-        let cur_finish = limited_lp(&adg, now, cur).finish;
+        let cur_finish = limited_lp(cur);
+        let be = best_effort(adg, now);
         inner.analysis_log.push(AnalysisRecord {
             at: now,
             lp: cur,
             predicted_finish: cur_finish,
-            best_effort_finish: best_effort(&adg, now).finish,
+            best_effort_finish: be.finish,
         });
 
         if cur_finish > deadline {
-            // Self-configuration: more threads.
-            let be = best_effort(&adg, now);
+            // Self-configuration: more threads — up to the cap, which
+            // never exceeds `max_lp`; at `max_lp` already, skip the
+            // concurrency sweep.
+            if cur >= self.config.max_lp {
+                return;
+            }
             let opt = be.max_concurrency_from(now).max(self.config.min_lp);
             let cap = opt.min(self.config.max_lp);
             if cap <= cur {
                 return; // nothing a raise could do
             }
-            let cap_finish = limited_lp(&adg, now, cap).finish;
+            let cap_finish = limited_lp(cap);
             // Minimal LP achieving `target_finish`, by binary search (WCT
             // is non-increasing in LP under the paper's assumption).
             let minimal_for = |target_finish: TimeNs| -> usize {
@@ -457,7 +479,7 @@ impl AutonomicController {
                 let mut hi = cap;
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    if limited_lp(&adg, now, mid).finish <= target_finish {
+                    if limited_lp(mid) <= target_finish {
                         hi = mid;
                     } else {
                         lo = mid + 1;
@@ -477,7 +499,7 @@ impl AutonomicController {
                 RaisePolicy::Unbounded => target,
                 RaisePolicy::Doubling => target.min(cur * 2 + 1),
             };
-            let predicted = limited_lp(&adg, now, to_lp).finish;
+            let predicted = limited_lp(to_lp);
             self.apply(inner, now, to_lp, reason, predicted);
         } else {
             // Self-optimization: fewer threads when safe.
@@ -498,7 +520,7 @@ impl AutonomicController {
                 DecreasePolicy::Halve => {
                     let half = (cur / 2).max(self.config.min_lp);
                     if half < cur {
-                        let predicted = limited_lp(&adg, now, half).finish;
+                        let predicted = limited_lp(half);
                         if predicted <= safe_deadline {
                             self.apply(inner, now, half, DecisionReason::Decrease, predicted);
                         }
@@ -509,14 +531,14 @@ impl AutonomicController {
                     let mut hi = cur;
                     while lo < hi {
                         let mid = lo + (hi - lo) / 2;
-                        if limited_lp(&adg, now, mid).finish <= safe_deadline {
+                        if limited_lp(mid) <= safe_deadline {
                             hi = mid;
                         } else {
                             lo = mid + 1;
                         }
                     }
                     if lo < cur {
-                        let predicted = limited_lp(&adg, now, lo).finish;
+                        let predicted = limited_lp(lo);
                         self.apply(inner, now, lo, DecisionReason::Decrease, predicted);
                     }
                 }
@@ -561,6 +583,7 @@ impl Listener for AutonomicController {
             && event.trace.depth() == 1
         {
             inner.tracker.prune_finished();
+            inner.folds.clear();
             inner.deadline = Some(event.timestamp + self.config.wct_goal);
         }
         inner.tracker.observe(event);

@@ -36,7 +36,7 @@ pub mod render;
 pub mod strategy;
 pub mod tracker;
 
-pub use adg::{ActState, Activity, Adg, AdgBuilder};
+pub use adg::{ActState, Activity, Adg, AdgBuilder, FoldCache};
 pub use controller::{
     AnalysisRecord, AutonomicController, ControllerConfig, Decision, DecisionReason,
     DecreasePolicy, FnActuator, LpActuator, RaisePolicy,

@@ -14,6 +14,9 @@
 //!   (Fig. 2: "a maximum requirement of 3 active threads … therefore the
 //!   optimal LP is 3").
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use askel_skeletons::TimeNs;
 
 use crate::adg::{ActState, Adg};
@@ -40,7 +43,7 @@ impl Schedule {
                 deltas.push((e, -1));
             }
         }
-        deltas.sort_by_key(|&(t, d)| (t, d));
+        deltas.sort_unstable();
         let mut out: Vec<TimelinePoint> = vec![TimelinePoint {
             at: TimeNs::ZERO,
             active: 0,
@@ -83,7 +86,7 @@ impl Schedule {
             }
             deltas.push((e, -1));
         }
-        deltas.sort_by_key(|&(time, d)| (time, d));
+        deltas.sort_unstable();
         let mut max = at_t;
         let mut cur = at_t;
         for (_, d) in deltas {
@@ -136,201 +139,221 @@ pub fn best_effort(adg: &Adg, now: TimeNs) -> Schedule {
 /// bound still guarantees every `lp ≥ 1` is at least as good as serial
 /// execution (property-tested in `tests/strategy_properties.rs`).
 pub fn limited_lp(adg: &Adg, now: TimeNs, lp: usize) -> Schedule {
-    let n = adg.len();
-    let mut spans: Vec<(TimeNs, TimeNs)> = vec![(TimeNs::ZERO, TimeNs::ZERO); n];
-    let mut scheduled = vec![false; n];
-    let mut finish = TimeNs::ZERO;
+    LpLayout::new(adg).limited_lp(now, lp)
+}
 
-    // Reverse adjacency + pending-predecessor counts.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut missing_preds = vec![0usize; n];
-    for (i, a) in adg.activities.iter().enumerate() {
-        if matches!(a.state, ActState::Pending) {
+/// One ADG prepared for [`limited_lp`] layouts: the successor lists of
+/// its pending activities in compressed sparse row form. The controller
+/// lays one ADG out at several LPs per analysis and builds this once.
+/// A layout costs O((n + e) log n) for n activities and e edges.
+pub(crate) struct LpLayout<'a> {
+    adg: &'a Adg,
+    /// `succs[succ_start[i]..succ_start[i + 1]]` are the pending
+    /// activities that wait on activity `i`, in index order.
+    succ_start: Vec<usize>,
+    succs: Vec<usize>,
+}
+
+impl<'a> LpLayout<'a> {
+    pub(crate) fn new(adg: &'a Adg) -> Self {
+        let n = adg.len();
+        let pending = || {
+            adg.activities
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| matches!(a.state, ActState::Pending))
+        };
+        let mut succ_start = vec![0usize; n + 1];
+        for (_, a) in pending() {
             for &p in &a.preds {
-                succs[p].push(i);
-            }
-            missing_preds[i] = a.preds.len();
-        }
-    }
-
-    // Completion events: (time, activity index).
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(TimeNs, usize)>> =
-        std::collections::BinaryHeap::new();
-    // Ready pending activities: (ready_time, idx).
-    let mut ready: Vec<(TimeNs, usize)> = Vec::new();
-    let mut in_use = 0usize;
-    let mut pending_left = 0usize;
-
-    let resolve = |i: usize,
-                   end: TimeNs,
-                   missing_preds: &mut Vec<usize>,
-                   ready: &mut Vec<(TimeNs, usize)>,
-                   spans: &Vec<(TimeNs, TimeNs)>,
-                   succs: &Vec<Vec<usize>>,
-                   scheduled: &Vec<bool>,
-                   adg: &Adg| {
-        let _ = end;
-        for &s in &succs[i] {
-            if missing_preds[s] > 0 {
-                missing_preds[s] -= 1;
-                if missing_preds[s] == 0 {
-                    let ready_time = adg.activities[s]
-                        .preds
-                        .iter()
-                        .map(|&p| spans[p].1)
-                        .fold(now, TimeNs::max);
-                    debug_assert!(scheduled.iter().len() >= s);
-                    ready.push((ready_time, s));
-                }
+                succ_start[p + 1] += 1;
             }
         }
-    };
-
-    // Seed with Done and Running activities.
-    for (i, a) in adg.activities.iter().enumerate() {
-        match a.state {
-            ActState::Done { start, end } => {
-                spans[i] = (start, end);
-                scheduled[i] = true;
-                finish = finish.max(end);
-            }
-            ActState::Running { start } => {
-                let end = (start + a.est).max(now);
-                spans[i] = (start, end);
-                scheduled[i] = true;
-                finish = finish.max(end);
-                in_use += 1;
-                events.push(std::cmp::Reverse((end, i)));
-            }
-            ActState::Pending => pending_left += 1,
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
         }
-    }
-    // Resolve successors of *Done* activities only — Running ones resolve
-    // when their completion event fires (resolving them here too would
-    // count them twice and let successors start before their preds end).
-    for i in 0..n {
-        if matches!(adg.activities[i].state, ActState::Done { .. }) {
-            let end = spans[i].1;
-            resolve(
-                i,
-                end,
-                &mut missing_preds,
-                &mut ready,
-                &spans,
-                &succs,
-                &scheduled,
-                adg,
-            );
-        }
-    }
-    // Pending activities with no pending preds at all (their preds were
-    // all Done/Running, already handled) — also those with zero preds.
-    for (i, a) in adg.activities.iter().enumerate() {
-        if matches!(a.state, ActState::Pending) && missing_preds[i] == 0 {
-            let ready_time = a.preds.iter().map(|&p| spans[p].1).fold(now, TimeNs::max);
-            if !ready.iter().any(|&(_, j)| j == i) {
-                ready.push((ready_time, i));
+        let mut fill = succ_start[..n].to_vec();
+        let mut succs = vec![0usize; succ_start[n]];
+        for (i, a) in pending() {
+            for &p in &a.preds {
+                succs[fill[p]] = i;
+                fill[p] += 1;
             }
         }
-    }
-
-    if pending_left > 0 && lp == 0 {
-        return Schedule {
-            spans,
-            finish: TimeNs::MAX,
-        };
-    }
-
-    let mut t = now;
-    loop {
-        // Start everything ready and startable at time t, LIFO-ish.
-        loop {
-            if in_use >= lp {
-                break;
-            }
-            // Eligible: ready_time ≤ t; pick the highest index (mirrors
-            // the runtime's LIFO stack on ties).
-            let mut best: Option<usize> = None; // position in `ready`
-            for (pos, &(rt, idx)) in ready.iter().enumerate() {
-                if rt <= t {
-                    match best {
-                        Some(b) if ready[b].1 >= idx => {}
-                        _ => best = Some(pos),
-                    }
-                }
-            }
-            let Some(pos) = best else { break };
-            let (_, i) = ready.swap_remove(pos);
-            let est = adg.activities[i].est;
-            spans[i] = (t, t + est);
-            scheduled[i] = true;
-            finish = finish.max(t + est);
-            pending_left -= 1;
-            if est.0 == 0 {
-                // Zero-duration activities complete instantly and do not
-                // occupy a worker.
-                resolve(
-                    i,
-                    t,
-                    &mut missing_preds,
-                    &mut ready,
-                    &spans,
-                    &succs,
-                    &scheduled,
-                    adg,
-                );
-            } else {
-                in_use += 1;
-                events.push(std::cmp::Reverse((t + est, i)));
-            }
-        }
-        if pending_left == 0 && events.is_empty() {
-            break;
-        }
-        // Advance to the next completion.
-        let Some(std::cmp::Reverse((et, i))) = events.pop() else {
-            // No running activity but work left: only possible when every
-            // ready_time is in the future relative to t — advance to the
-            // earliest.
-            let Some(&(rt, _)) = ready.iter().min_by_key(|&&(rt, _)| rt) else {
-                break;
-            };
-            t = t.max(rt);
-            continue;
-        };
-        t = t.max(et);
-        in_use -= 1;
-        resolve(
-            i,
-            et,
-            &mut missing_preds,
-            &mut ready,
-            &spans,
-            &succs,
-            &scheduled,
+        LpLayout {
             adg,
-        );
-        // Drain simultaneous completions.
-        while let Some(&std::cmp::Reverse((et2, _))) = events.peek() {
-            if et2 != t {
-                break;
-            }
-            let std::cmp::Reverse((_, j)) = events.pop().expect("peeked");
-            in_use -= 1;
-            resolve(
-                j,
-                t,
-                &mut missing_preds,
-                &mut ready,
-                &spans,
-                &succs,
-                &scheduled,
-                adg,
-            );
+            succ_start,
+            succs,
         }
     }
 
-    Schedule { spans, finish }
+    /// [`limited_lp`] of the prepared graph.
+    ///
+    /// Ready activities wait in a min-heap on their ready time until the
+    /// clock reaches it, then in a max-heap on their index: among the
+    /// released ones the highest index starts first (the runtime's LIFO
+    /// stack). The clock only moves to the next completion, or — when
+    /// nothing runs — to the earliest ready time.
+    pub(crate) fn limited_lp(&self, now: TimeNs, lp: usize) -> Schedule {
+        let acts = &self.adg.activities;
+        let n = acts.len();
+        let mut spans = vec![(TimeNs::ZERO, TimeNs::ZERO); n];
+        let mut finish = TimeNs::ZERO;
+        let mut wait = vec![
+            Wait {
+                missing_preds: 0,
+                ready_time: now,
+            };
+            n
+        ];
+        let mut completions: BinaryHeap<Reverse<(TimeNs, usize)>> = BinaryHeap::new();
+        let mut in_use = 0usize;
+        let mut pending_left = 0usize;
+
+        for (i, a) in acts.iter().enumerate() {
+            match a.state {
+                ActState::Done { start, end } => {
+                    spans[i] = (start, end);
+                    finish = finish.max(end);
+                }
+                ActState::Running { start } => {
+                    let end = (start + a.est).max(now);
+                    spans[i] = (start, end);
+                    finish = finish.max(end);
+                    in_use += 1;
+                    completions.push(Reverse((end, i)));
+                }
+                ActState::Pending => {
+                    pending_left += 1;
+                    wait[i].missing_preds = a.preds.len();
+                }
+            }
+        }
+        if pending_left > 0 && lp == 0 {
+            return Schedule {
+                spans,
+                finish: TimeNs::MAX,
+            };
+        }
+
+        let mut t = now;
+        let mut ready = Ready::default();
+        // Done activities release their successors up front; Running ones
+        // when their completion fires.
+        for (i, a) in acts.iter().enumerate() {
+            if let ActState::Done { end, .. } = a.state {
+                self.resolve(i, end, t, &mut wait, &mut ready);
+            }
+        }
+        // Pending activities without predecessors were never anyone's
+        // successor; every other one with all predecessors Done is
+        // already queued.
+        for (i, a) in acts.iter().enumerate() {
+            if matches!(a.state, ActState::Pending) && a.preds.is_empty() {
+                ready.push(now, i, t);
+            }
+        }
+
+        loop {
+            ready.release(t);
+            while in_use < lp {
+                let Some(i) = ready.released.pop() else { break };
+                let est = acts[i].est;
+                spans[i] = (t, t + est);
+                finish = finish.max(t + est);
+                pending_left -= 1;
+                if est.0 == 0 {
+                    // Zero-duration activities complete instantly and do
+                    // not occupy a worker.
+                    self.resolve(i, t, t, &mut wait, &mut ready);
+                } else {
+                    in_use += 1;
+                    completions.push(Reverse((t + est, i)));
+                }
+            }
+            if pending_left == 0 && completions.is_empty() {
+                break;
+            }
+            let Some(Reverse((et, i))) = completions.pop() else {
+                // Nothing runs but work is left: every ready time lies
+                // ahead of the clock — jump to the earliest.
+                let Some(&Reverse((rt, _))) = ready.waiting.peek() else {
+                    break;
+                };
+                t = t.max(rt);
+                continue;
+            };
+            t = t.max(et);
+            in_use -= 1;
+            self.resolve(i, et, t, &mut wait, &mut ready);
+            // Drain simultaneous completions.
+            while let Some(&Reverse((et2, j))) = completions.peek() {
+                if et2 != t {
+                    break;
+                }
+                completions.pop();
+                in_use -= 1;
+                self.resolve(j, et2, t, &mut wait, &mut ready);
+            }
+        }
+
+        Schedule { spans, finish }
+    }
+
+    /// Activity `i` finished at `end` (its span is final): raise each
+    /// successor's ready time to `end` and queue every successor whose
+    /// last predecessor this was. Ready times start at `now`, so each one
+    /// ends up as its latest predecessor's end, never before `now`.
+    fn resolve(&self, i: usize, end: TimeNs, t: TimeNs, wait: &mut [Wait], ready: &mut Ready) {
+        for &s in &self.succs[self.succ_start[i]..self.succ_start[i + 1]] {
+            let w = &mut wait[s];
+            w.ready_time = w.ready_time.max(end);
+            w.missing_preds -= 1;
+            if w.missing_preds == 0 {
+                ready.push(w.ready_time, s, t);
+            }
+        }
+    }
+}
+
+/// What a pending activity still waits for in a [`LpLayout::limited_lp`]
+/// run.
+#[derive(Clone, Copy)]
+struct Wait {
+    /// Predecessors not finished yet.
+    missing_preds: usize,
+    /// Latest end among the finished ones (at least `now`).
+    ready_time: TimeNs,
+}
+
+/// The ready pending activities of a [`LpLayout::limited_lp`] run, split
+/// at the clock: `released` (ready time ≤ clock) by index, highest
+/// first; `waiting` by ready time, earliest first.
+#[derive(Default)]
+struct Ready {
+    released: BinaryHeap<usize>,
+    waiting: BinaryHeap<Reverse<(TimeNs, usize)>>,
+}
+
+impl Ready {
+    fn push(&mut self, ready_time: TimeNs, i: usize, t: TimeNs) {
+        if ready_time <= t {
+            self.released.push(i);
+        } else {
+            self.waiting.push(Reverse((ready_time, i)));
+        }
+    }
+
+    /// Moves every waiting activity whose ready time the clock `t` reached.
+    fn release(&mut self, t: TimeNs) {
+        while let Some(&Reverse((rt, i))) = self.waiting.peek() {
+            if rt > t {
+                break;
+            }
+            self.waiting.pop();
+            self.released.push(i);
+        }
+    }
 }
 
 /// The paper's optimal LP: the maximum concurrency of the best-effort
@@ -356,8 +379,7 @@ pub fn predictive_wct(
     if !estimates.covers(&root.collect_muscles()) {
         return None;
     }
-    let tracker = crate::tracker::SmTracker::with_estimates(estimates.clone());
-    let adg = crate::adg::AdgBuilder::new(&tracker).build_predictive(root);
+    let adg = crate::adg::AdgBuilder::from_estimates(estimates).build_predictive(root);
     if adg.is_empty() {
         return None;
     }

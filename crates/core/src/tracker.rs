@@ -20,12 +20,45 @@
 //! the controller's job (`askel-core::controller`), which also keeps event
 //! observation and ADG analysis under one lock.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use askel_events::{Event, EventInfo, When, Where};
 use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole, NodeId, TimeNs};
 
 use crate::estimate::EstimatorTable;
+
+/// Hasher for ids the program mints itself (instance and node counters):
+/// one rotate-xor-multiply per word. Ids are dense and never chosen from
+/// outside, so SipHash's protection against crafted collisions buys
+/// nothing on the per-event and per-analysis lookups.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `HashMap`/`HashSet` state for [`IdHasher`].
+pub(crate) type IdHash = BuildHasherDefault<IdHasher>;
 
 /// One muscle execution observed at runtime (possibly still running).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +135,7 @@ impl InstanceRecord {
 /// Event-driven execution tracker + estimator updater.
 pub struct SmTracker {
     estimates: EstimatorTable,
-    instances: HashMap<InstanceId, InstanceRecord>,
+    instances: HashMap<InstanceId, InstanceRecord, IdHash>,
     /// Root instances in arrival order; the last is the current submission.
     roots: Vec<InstanceId>,
 }
@@ -118,7 +151,7 @@ impl SmTracker {
     pub fn with_estimates(estimates: EstimatorTable) -> Self {
         SmTracker {
             estimates,
-            instances: HashMap::new(),
+            instances: HashMap::default(),
             roots: Vec::new(),
         }
     }
@@ -161,7 +194,7 @@ impl SmTracker {
         match keep_root {
             Some(root) => {
                 // Keep only instances belonging to the live root.
-                let live: std::collections::HashSet<InstanceId> = self
+                let live: HashSet<InstanceId, IdHash> = self
                     .instances
                     .values()
                     .filter(|r| self.root_of(r.id) == Some(root))

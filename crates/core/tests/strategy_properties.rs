@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use askel_core::{best_effort, limited_lp, ActState, Activity, Adg};
+use askel_core::{best_effort, limited_lp, ActState, Activity, Adg, Schedule};
 use askel_skeletons::{MuscleId, MuscleRole, NodeId, TimeNs};
 
 /// A random DAG in topological order: each activity picks predecessors
@@ -205,5 +205,270 @@ proptest! {
         }
         // The last point has active = 0, so the integral is complete.
         prop_assert_eq!(total, integral);
+    }
+}
+
+// ---- oracle: the quadratic list scheduler ---------------------------------
+
+/// The original O(n²) `limited_lp`, kept verbatim as the oracle for the
+/// heap-based scheduler: a linear scan of the ready list per start, and a
+/// quadratic seeding scan.
+fn quadratic_limited_lp(adg: &Adg, now: TimeNs, lp: usize) -> Schedule {
+    let n = adg.len();
+    let mut spans: Vec<(TimeNs, TimeNs)> = vec![(TimeNs::ZERO, TimeNs::ZERO); n];
+    let mut scheduled = vec![false; n];
+    let mut finish = TimeNs::ZERO;
+
+    // Reverse adjacency + pending-predecessor counts.
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut missing_preds = vec![0usize; n];
+    for (i, a) in adg.activities.iter().enumerate() {
+        if matches!(a.state, ActState::Pending) {
+            for &p in &a.preds {
+                succs[p].push(i);
+            }
+            missing_preds[i] = a.preds.len();
+        }
+    }
+
+    // Completion events: (time, activity index).
+    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(TimeNs, usize)>> =
+        std::collections::BinaryHeap::new();
+    // Ready pending activities: (ready_time, idx).
+    let mut ready: Vec<(TimeNs, usize)> = Vec::new();
+    let mut in_use = 0usize;
+    let mut pending_left = 0usize;
+
+    let resolve = |i: usize,
+                   end: TimeNs,
+                   missing_preds: &mut Vec<usize>,
+                   ready: &mut Vec<(TimeNs, usize)>,
+                   spans: &Vec<(TimeNs, TimeNs)>,
+                   succs: &Vec<Vec<usize>>,
+                   scheduled: &Vec<bool>,
+                   adg: &Adg| {
+        let _ = end;
+        for &s in &succs[i] {
+            if missing_preds[s] > 0 {
+                missing_preds[s] -= 1;
+                if missing_preds[s] == 0 {
+                    let ready_time = adg.activities[s]
+                        .preds
+                        .iter()
+                        .map(|&p| spans[p].1)
+                        .fold(now, TimeNs::max);
+                    debug_assert!(scheduled.iter().len() >= s);
+                    ready.push((ready_time, s));
+                }
+            }
+        }
+    };
+
+    // Seed with Done and Running activities.
+    for (i, a) in adg.activities.iter().enumerate() {
+        match a.state {
+            ActState::Done { start, end } => {
+                spans[i] = (start, end);
+                scheduled[i] = true;
+                finish = finish.max(end);
+            }
+            ActState::Running { start } => {
+                let end = (start + a.est).max(now);
+                spans[i] = (start, end);
+                scheduled[i] = true;
+                finish = finish.max(end);
+                in_use += 1;
+                events.push(std::cmp::Reverse((end, i)));
+            }
+            ActState::Pending => pending_left += 1,
+        }
+    }
+    // Resolve successors of *Done* activities only — Running ones resolve
+    // when their completion event fires (resolving them here too would
+    // count them twice and let successors start before their preds end).
+    for i in 0..n {
+        if matches!(adg.activities[i].state, ActState::Done { .. }) {
+            let end = spans[i].1;
+            resolve(
+                i,
+                end,
+                &mut missing_preds,
+                &mut ready,
+                &spans,
+                &succs,
+                &scheduled,
+                adg,
+            );
+        }
+    }
+    // Pending activities with no pending preds at all (their preds were
+    // all Done/Running, already handled) — also those with zero preds.
+    for (i, a) in adg.activities.iter().enumerate() {
+        if matches!(a.state, ActState::Pending) && missing_preds[i] == 0 {
+            let ready_time = a.preds.iter().map(|&p| spans[p].1).fold(now, TimeNs::max);
+            if !ready.iter().any(|&(_, j)| j == i) {
+                ready.push((ready_time, i));
+            }
+        }
+    }
+
+    if pending_left > 0 && lp == 0 {
+        return Schedule {
+            spans,
+            finish: TimeNs::MAX,
+        };
+    }
+
+    let mut t = now;
+    loop {
+        // Start everything ready and startable at time t, LIFO-ish.
+        loop {
+            if in_use >= lp {
+                break;
+            }
+            // Eligible: ready_time ≤ t; pick the highest index (mirrors
+            // the runtime's LIFO stack on ties).
+            let mut best: Option<usize> = None; // position in `ready`
+            for (pos, &(rt, idx)) in ready.iter().enumerate() {
+                if rt <= t {
+                    match best {
+                        Some(b) if ready[b].1 >= idx => {}
+                        _ => best = Some(pos),
+                    }
+                }
+            }
+            let Some(pos) = best else { break };
+            let (_, i) = ready.swap_remove(pos);
+            let est = adg.activities[i].est;
+            spans[i] = (t, t + est);
+            scheduled[i] = true;
+            finish = finish.max(t + est);
+            pending_left -= 1;
+            if est.0 == 0 {
+                // Zero-duration activities complete instantly and do not
+                // occupy a worker.
+                resolve(
+                    i,
+                    t,
+                    &mut missing_preds,
+                    &mut ready,
+                    &spans,
+                    &succs,
+                    &scheduled,
+                    adg,
+                );
+            } else {
+                in_use += 1;
+                events.push(std::cmp::Reverse((t + est, i)));
+            }
+        }
+        if pending_left == 0 && events.is_empty() {
+            break;
+        }
+        // Advance to the next completion.
+        let Some(std::cmp::Reverse((et, i))) = events.pop() else {
+            // No running activity but work left: only possible when every
+            // ready_time is in the future relative to t — advance to the
+            // earliest.
+            let Some(&(rt, _)) = ready.iter().min_by_key(|&&(rt, _)| rt) else {
+                break;
+            };
+            t = t.max(rt);
+            continue;
+        };
+        t = t.max(et);
+        in_use -= 1;
+        resolve(
+            i,
+            et,
+            &mut missing_preds,
+            &mut ready,
+            &spans,
+            &succs,
+            &scheduled,
+            adg,
+        );
+        // Drain simultaneous completions.
+        while let Some(&std::cmp::Reverse((et2, _))) = events.peek() {
+            if et2 != t {
+                break;
+            }
+            let std::cmp::Reverse((_, j)) = events.pop().expect("peeked");
+            in_use -= 1;
+            resolve(
+                j,
+                t,
+                &mut missing_preds,
+                &mut ready,
+                &spans,
+                &succs,
+                &scheduled,
+                adg,
+            );
+        }
+    }
+
+    Schedule { spans, finish }
+}
+
+/// A random DAG for the oracle: states mixed in any order, zero-duration
+/// activities, duplicate predecessor edges, Running starts and Done ends
+/// on either side of `now` (threaded events reach the controller's lock
+/// out of timestamp order).
+fn oracle_adg_strategy() -> impl Strategy<Value = (Adg, TimeNs)> {
+    (1usize..40)
+        .prop_flat_map(|n| {
+            let acts = proptest::collection::vec(
+                (
+                    0u8..3,
+                    prop_oneof![Just(0u64), 0u64..20],
+                    0u64..120,
+                    proptest::collection::vec(any::<u32>(), 0..4),
+                ),
+                n,
+            );
+            (acts, 0u64..120)
+        })
+        .prop_map(|(acts, now)| {
+            let activities = acts
+                .into_iter()
+                .enumerate()
+                .map(|(i, (kind, dur, start, pred_seeds))| {
+                    let preds = if i == 0 {
+                        vec![]
+                    } else {
+                        pred_seeds.iter().map(|s| *s as usize % i).collect()
+                    };
+                    let state = match kind {
+                        0 => ActState::Done {
+                            start: TimeNs(start),
+                            end: TimeNs(start + dur),
+                        },
+                        1 => ActState::Running {
+                            start: TimeNs(start),
+                        },
+                        _ => ActState::Pending,
+                    };
+                    Activity {
+                        muscle: MuscleId::new(NodeId(i as u64 + 1), MuscleRole::Execute),
+                        state,
+                        est: TimeNs(dur),
+                        preds,
+                    }
+                })
+                .collect();
+            (Adg { activities }, TimeNs(now))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    #[test]
+    fn heap_scheduler_matches_the_quadratic_oracle(
+        (adg, now) in oracle_adg_strategy(),
+        lp in 0usize..=9,
+    ) {
+        prop_assert_eq!(limited_lp(&adg, now, lp), quadratic_limited_lp(&adg, now, lp));
     }
 }

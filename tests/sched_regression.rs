@@ -19,6 +19,15 @@ const GOAL_105: TimeNs = TimeNs(10_500_000_000);
 /// `(at, from_lp, to_lp, reason, predicted_wct)` — every `Decision` field.
 type Pinned = (u64, usize, usize, DecisionReason, u64);
 
+/// The §5 testbed, built once per process. Node ids come from a global
+/// counter and key the cost model's jitter, so every test in this file
+/// must share one construction: a second `PaperScenarios::new` racing
+/// the first would shift the ids and with them every pinned value.
+fn testbed() -> &'static PaperScenarios {
+    static TESTBED: std::sync::OnceLock<PaperScenarios> = std::sync::OnceLock::new();
+    TESTBED.get_or_init(|| PaperScenarios::new(ScenarioParams::default()))
+}
+
 fn pin(decisions: &[autonomic_skeletons::core::Decision]) -> Vec<Pinned> {
     decisions
         .iter()
@@ -39,7 +48,7 @@ fn deterministic_ordering_reproduces_pre_refactor_decision_logs() {
         return;
     }
 
-    let scenarios = PaperScenarios::new(ScenarioParams::default());
+    let scenarios = testbed();
 
     // The sequential baseline (the paper's 12.5 s), to the nanosecond.
     assert_eq!(scenarios.sequential_wct(), TimeNs(12_643_125_706));
@@ -100,4 +109,109 @@ fn deterministic_ordering_reproduces_pre_refactor_decision_logs() {
             (7_296_682_231, 6, 3, DecisionReason::Decrease, 8_088_884_201),
         ]
     );
+}
+
+/// `(at, lp, predicted_finish, best_effort_finish)` — every
+/// `AnalysisRecord` field of the Fig. 5 run (goal 9.5 s, cold
+/// estimators), captured before the controller's analysis learned to
+/// fold finished history out of the ADG. Folding must not move a single
+/// prediction.
+const FIG5_ANALYSIS_LOG: [(u64, usize, u64, u64); 76] = [
+    (7_717_363_817, 1, 13_059_507_607, 8_798_356_906),
+    (7_717_363_817, 8, 8_941_730_887, 8_798_356_906),
+    (7_717_363_817, 8, 8_941_730_887, 8_798_356_906),
+    (8_614_046_048, 8, 8_911_560_071, 8_773_037_279),
+    (8_631_970_234, 8, 8_904_164_629, 8_769_339_558),
+    (8_640_089_911, 8, 8_871_543_433, 8_762_887_782),
+    (8_640_089_911, 8, 8_871_543_433, 8_762_887_782),
+    (8_640_633_329, 8, 8_853_523_357, 8_758_266_043),
+    (8_640_633_329, 8, 8_853_523_357, 8_758_266_043),
+    (8_642_417_242, 8, 8_853_523_357, 8_760_049_956),
+    (8_660_605_660, 8, 8_883_137_705, 8_785_641_961),
+    (8_660_605_660, 8, 8_883_137_705, 8_785_641_961),
+    (8_669_895_174, 8, 8_880_132_119, 8_794_315_933),
+    (8_669_895_174, 8, 8_880_132_119, 8_794_315_933),
+    (8_671_198_643, 8, 8_880_675_537, 8_795_619_402),
+    (8_672_427_546, 8, 8_861_134_001, 8_792_583_215),
+    (8_672_427_546, 8, 8_861_134_001, 8_792_583_215),
+    (8_674_251_888, 8, 8_901_854_015, 8_807_372_781),
+    (8_674_251_888, 8, 8_901_854_015, 8_807_372_781),
+    (8_674_338_553, 8, 8_882_366_051, 8_800_963_458),
+    (8_674_338_553, 8, 8_882_366_051, 8_800_963_458),
+    (8_674_845_122, 8, 8_912_447_720, 8_811_497_250),
+    (8_674_845_122, 8, 8_912_447_720, 8_811_497_250),
+    (8_676_827_605, 8, 8_858_798_516, 8_796_204_779),
+    (8_676_827_605, 8, 8_858_798_516, 8_796_204_779),
+    (8_691_721_102, 8, 8_834_961_131, 8_803_996_605),
+    (8_691_721_102, 8, 8_834_961_131, 8_803_996_605),
+    (8_694_657_157, 8, 8_827_251_265, 8_803_894_349),
+    (8_694_657_157, 8, 8_827_251_265, 8_803_894_349),
+    (8_695_136_896, 8, 8_828_312_340, 8_804_664_756),
+    (8_695_136_896, 8, 8_828_312_340, 8_804_664_756),
+    (8_696_468_952, 8, 8_826_881_820, 8_805_281_552),
+    (8_696_468_952, 8, 8_826_881_820, 8_805_281_552),
+    (8_701_446_427, 8, 8_864_762_594, 8_829_199_414),
+    (8_701_446_427, 8, 8_864_762_594, 8_829_199_414),
+    (8_715_788_754, 8, 8_844_021_480, 8_833_171_184),
+    (8_715_788_754, 8, 8_844_021_480, 8_833_171_184),
+    (8_717_645_038, 8, 8_831_611_674, 8_830_530_462),
+    (8_717_645_038, 8, 8_831_611_674, 8_830_530_462),
+    (8_720_913_422, 8, 8_855_624_774, 8_845_805_396),
+    (8_720_913_422, 8, 8_855_624_774, 8_845_805_396),
+    (8_723_952_744, 8, 8_863_738_216, 8_852_901_439),
+    (8_723_952_744, 8, 8_863_738_216, 8_852_901_439),
+    (8_726_540_720, 8, 8_872_365_394, 8_859_803_004),
+    (8_726_540_720, 8, 8_872_365_394, 8_859_803_004),
+    (8_736_450_356, 8, 8_856_352_437, 8_856_352_437),
+    (8_736_450_356, 8, 8_856_352_437, 8_856_352_437),
+    (8_739_345_550, 8, 8_848_557_599, 8_848_557_599),
+    (8_739_345_550, 8, 8_848_557_599, 8_848_557_599),
+    (8_742_166_268, 8, 8_855_804_036, 8_855_804_036),
+    (8_742_166_268, 8, 8_855_804_036, 8_855_804_036),
+    (8_744_806_847, 8, 8_865_610_206, 8_865_610_206),
+    (8_744_806_847, 8, 8_865_610_206, 8_865_610_206),
+    (8_747_131_034, 8, 8_869_301_460, 8_869_301_460),
+    (8_747_131_034, 8, 8_869_301_460, 8_869_301_460),
+    (8_749_728_354, 8, 8_858_703_851, 8_858_703_851),
+    (8_749_728_354, 8, 8_858_703_851, 8_858_703_851),
+    (8_762_653_182, 8, 8_858_573_473, 8_858_573_473),
+    (8_762_653_182, 8, 8_858_573_473, 8_858_573_473),
+    (8_780_103_784, 8, 8_871_681_425, 8_871_681_425),
+    (8_780_103_784, 8, 8_871_681_425, 8_871_681_425),
+    (8_782_038_094, 8, 8_865_972_535, 8_865_972_535),
+    (8_782_038_094, 8, 8_865_972_535, 8_865_972_535),
+    (8_782_038_094, 8, 8_865_972_535, 8_865_972_535),
+    (8_793_960_035, 8, 8_880_874_729, 8_880_874_729),
+    (8_793_960_035, 8, 8_880_874_729, 8_880_874_729),
+    (8_793_960_035, 8, 8_880_874_729, 8_880_874_729),
+    (8_794_565_042, 8, 8_881_479_736, 8_881_479_736),
+    (8_794_565_042, 8, 8_881_479_736, 8_881_479_736),
+    (8_815_181_814, 8, 8_873_100_418, 8_873_100_418),
+    (8_815_181_814, 8, 8_873_100_418, 8_873_100_418),
+    (8_815_181_814, 8, 8_873_100_418, 8_873_100_418),
+    (8_824_871_197, 8, 8_859_658_119, 8_859_658_119),
+    (8_824_871_197, 8, 8_859_658_119, 8_859_658_119),
+    (8_824_871_197, 8, 8_859_658_119, 8_859_658_119),
+    (8_866_328_052, 8, 8_866_328_052, 8_866_328_052),
+];
+
+#[test]
+fn fig5_analysis_log_is_pinned() {
+    if std::env::var(autonomic_skeletons::sim::sched::SEED_ENV).is_ok() {
+        eprintln!(
+            "skipping: {} is set",
+            autonomic_skeletons::sim::sched::SEED_ENV
+        );
+        return;
+    }
+    let log: Vec<(u64, usize, u64, u64)> = testbed()
+        .run(GOAL_95, None)
+        .analysis_log
+        .iter()
+        .map(|a| (a.at.0, a.lp, a.predicted_finish.0, a.best_effort_finish.0))
+        .collect();
+    assert_eq!(log.len(), FIG5_ANALYSIS_LOG.len());
+    for (k, (got, want)) in log.iter().zip(FIG5_ANALYSIS_LOG.iter()).enumerate() {
+        assert_eq!(got, want, "analysis #{k} drifted");
+    }
 }
