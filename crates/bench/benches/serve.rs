@@ -15,10 +15,11 @@
 //!   per-item gap is the amortization the batched path buys.
 //! * `serve_sharded_drive` — the multi-threaded ingress curve: the same
 //!   tenant population over a [`ShardedServe`] with `threads` ∈ {1, 2, 4}
-//!   shard drivers and as many concurrent ingress threads, all on one
-//!   shared pool. On real multi-core hardware the 4-thread point should
-//!   clear ≥ 2× the 1-thread point; on a single-core container the curve
-//!   is recorded but **provisional** (every thread timeshares one core).
+//!   shards and as many concurrent ingress threads, all on one shared
+//!   pool. The front runs no thread of its own: each ingress thread
+//!   serves the tenants it feeds, and `quiesce` drains on the calling
+//!   thread. With fewer than 4 cores the 4-thread point oversubscribes
+//!   the machine and is printed as **provisional**.
 //!
 //! Recorded in `BENCH_serve.json`. Smoke: `CRITERION_MEASUREMENT_TIME_MS=0`.
 
@@ -109,11 +110,11 @@ fn drive_batch(engine: &Engine, items: usize) -> f64 {
     wall
 }
 
-/// The multi-threaded ingress drive: `threads` shard drivers and
-/// `threads` concurrent ingress threads feed `n` tenants (one batch
-/// each) through a [`ShardedServe`] over the shared engine; the shard
-/// drivers do all dispatching. Returns wall seconds for the whole run
-/// (ingress through quiesce).
+/// The multi-threaded ingress drive: `threads` shards and `threads`
+/// concurrent ingress threads feed `n` tenants (one batch each) through
+/// a [`ShardedServe`] over the shared engine; every feed serves its
+/// tenant and `quiesce` drains the rest on this thread. Returns wall
+/// seconds for the whole run (ingress through quiesce).
 fn drive_sharded(engine: &Engine, threads: usize, n: usize, per_tenant: usize) -> f64 {
     let program = probe();
     let policy = AdmissionPolicy::default().max_in_flight(per_tenant);
@@ -252,8 +253,8 @@ fn bench_serve(c: &mut Criterion) {
     );
 
     // The sharded ingress scaling curve: the same 10k-tenant population
-    // through 1, 2, and 4 shard drivers + ingress threads. Meaningful
-    // only on multi-core hardware; single-core results are provisional.
+    // through 1, 2, and 4 shards + ingress threads. A point with more
+    // threads than cores is provisional.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t1 = drive_sharded(&engine, 1, TENANTS, ITEMS_PER_TENANT);
     let t2 = drive_sharded(&engine, 2, TENANTS, ITEMS_PER_TENANT);

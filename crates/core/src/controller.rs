@@ -115,9 +115,6 @@ pub struct ControllerConfig {
     /// Minimum time between two *decreases* ("Skandium does not reduce
     /// the LP as fast as it increases it", §4/§5).
     pub decrease_cooldown: TimeNs,
-    /// Minimum virtual/real time between two analyses (0 = analyze on
-    /// every `After` event).
-    pub min_analysis_interval: TimeNs,
     /// When `true`, events only feed the state machines; analyses run
     /// exclusively through
     /// [`AutonomicController::force_analyze`] (snapshot studies, benches).
@@ -131,7 +128,7 @@ pub struct ControllerConfig {
 
 impl ControllerConfig {
     /// A config with the paper's defaults: `min_lp` 1, ρ 0.5, initial LP 1,
-    /// halving decrease, no analysis throttling.
+    /// halving decrease, an analysis on every `After` event.
     pub fn new(wct_goal: TimeNs, max_lp: usize) -> Self {
         ControllerConfig {
             wct_goal,
@@ -144,7 +141,6 @@ impl ControllerConfig {
             raise_headroom: 1.0,
             decrease_safety: 0.0,
             decrease_cooldown: TimeNs::ZERO,
-            min_analysis_interval: TimeNs::ZERO,
             manual_analysis: false,
             aliases: Vec::new(),
         }
@@ -165,12 +161,6 @@ impl ControllerConfig {
     /// Sets the decrease policy.
     pub fn decrease(mut self, policy: DecreasePolicy) -> Self {
         self.decrease = policy;
-        self
-    }
-
-    /// Sets the analysis throttle.
-    pub fn min_analysis_interval(mut self, interval: TimeNs) -> Self {
-        self.min_analysis_interval = interval;
         self
     }
 
@@ -265,7 +255,6 @@ struct Inner {
     spare: Adg,
     current_lp: usize,
     deadline: Option<TimeNs>,
-    last_analysis: Option<TimeNs>,
     last_decrease: Option<TimeNs>,
     decisions: Vec<Decision>,
     analysis_log: Vec<AnalysisRecord>,
@@ -306,7 +295,6 @@ impl AutonomicController {
                 spare: Adg::default(),
                 current_lp: initial_lp,
                 deadline: None,
-                last_analysis: None,
                 last_decrease: None,
                 decisions: Vec::new(),
                 analysis_log: Vec::new(),
@@ -403,22 +391,13 @@ impl AutonomicController {
     /// Forces an analysis at `now` (tests and benches).
     pub fn force_analyze(&self, now: TimeNs) {
         let mut inner = self.inner.lock();
-        self.analyze(&mut inner, now, true);
+        self.analyze(&mut inner, now);
     }
 
-    fn analyze(&self, inner: &mut Inner, now: TimeNs, forced: bool) {
+    fn analyze(&self, inner: &mut Inner, now: TimeNs) {
         let Some(deadline) = inner.deadline else {
             return;
         };
-        if !forced {
-            if let Some(last) = inner.last_analysis {
-                if self.config.min_analysis_interval > TimeNs::ZERO
-                    && now < last + self.config.min_analysis_interval
-                {
-                    return;
-                }
-            }
-        }
         // Analysis gate: every muscle estimated at least once (§4).
         if !inner.tracker.estimates().covers(&self.muscles) {
             return;
@@ -431,7 +410,6 @@ impl AutonomicController {
         if !root_live {
             return;
         }
-        inner.last_analysis = Some(now);
         inner.analyses += 1;
 
         let spare = std::mem::take(&mut inner.spare);
@@ -589,7 +567,7 @@ impl Listener for AutonomicController {
         inner.tracker.observe(event);
         // Estimates only change on After events; analyze there.
         if event.when == When::After && !self.config.manual_analysis {
-            self.analyze(&mut inner, event.timestamp, false);
+            self.analyze(&mut inner, event.timestamp);
         }
     }
 }

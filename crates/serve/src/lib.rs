@@ -18,9 +18,13 @@
 //!   per-submission dispatch floor across a whole ingress call.
 //! * **[`ShardedServe`]** splits the tenant population over `N`
 //!   independent registry shards (pure hash of [`TenantId`] — nothing
-//!   to rebalance), each owned by its own driver thread running the
-//!   feed→drain→harvest loop, all over the **one** shared engine, one
-//!   metrics hub, one monitor, and one cross-shard estimator pool.
+//!   to rebalance), all over the **one** shared engine, one metrics
+//!   hub, one monitor, and one cross-shard estimator pool. It runs no
+//!   thread of its own: each call serves its tenant under the owning
+//!   shard's lock (harvest, backlog dispatch, route and estimator
+//!   refresh), and [`ShardedServe::quiesce`] drains on the caller's
+//!   thread. A rule that panics at a safe point unwinds into the call
+//!   that ran it.
 //! * **A multiplexed autonomic loop**: one registered listener
 //!   ([`ServeMonitor`]) routes events to the owning tenants' trigger
 //!   engines (and one shared

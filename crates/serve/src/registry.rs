@@ -16,11 +16,13 @@
 //! queued items are dispatched by [`ServeRegistry::drain_cycle`], which
 //! visits tenants round-robin, rotating from the previous cycle's
 //! first-visited tenant **key** so no backlogged tenant is ever
-//! starved — even across registration/detach churn. The drain cycle is
-//! also where cross-tenant publication happens: each visited tenant's
-//! estimator history is absorbed into the shared pool (and its
-//! admission cost estimate re-priced), and its event routes are
-//! refreshed if a safe point rewrote its tree since the last visit.
+//! starved — even across registration/detach churn. Each visit is one
+//! per-tenant service step, which is also where cross-tenant
+//! publication happens: the tenant's estimator history is absorbed into
+//! the shared pool (and its admission cost estimate re-priced), and its
+//! event routes are refreshed if a safe point rewrote its tree since
+//! the last visit. A sharded front runs the same step for one tenant on
+//! every call.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -459,13 +461,10 @@ where
     /// cycle's starting key (wrapping) — rotation is over tenant
     /// **keys**, never positions, so a `detach`/`register` between
     /// cycles shifts nobody else's turn and no tenant can be repeatedly
-    /// re-favored (see [`next_first`](Self::next_first)). Per visited
-    /// tenant: finished results are harvested, backlogged items are
-    /// dispatched up to the in-flight quota (through the batched path,
-    /// under the pool-wide gates), event routes are refreshed if a
-    /// rewrite changed the tree, and new estimator history is published
-    /// to the shared pool. Returns how many backlogged items were
-    /// dispatched.
+    /// re-favored (see [`next_first`](Self::next_first)). Each visit is
+    /// one per-tenant service step: harvest, backlog dispatch up to the
+    /// quota, route and estimator refresh. Returns how many backlogged
+    /// items were dispatched.
     pub fn drain_cycle(&mut self) -> usize {
         let keys: Vec<u64> = self.tenants.keys().copied().collect();
         if keys.is_empty() {
@@ -476,34 +475,41 @@ where
             Some(prev) => keys.iter().position(|&k| k > prev).unwrap_or(0),
         };
         self.cursor = Some(keys[start]);
-        let quota = self.policy.max_in_flight;
+        (0..keys.len())
+            .map(|i| self.service(keys[(start + i) % keys.len()]))
+            .sum()
+    }
+
+    /// Services one tenant: harvests its finished results, dispatches
+    /// its backlog up to the in-flight quota (through the batched path,
+    /// under the pool-wide gates), refreshes its event routes if a
+    /// rewrite changed the tree, and publishes new estimator history to
+    /// the shared pool. Returns how many backlogged items were
+    /// dispatched; 0 for an unknown tenant. A rule that panics at the
+    /// dispatch's safe point unwinds into the caller.
+    pub(crate) fn service(&mut self, key: u64) -> usize {
+        // Sampled per visit (not per item): each dispatch batch changes
+        // the depth the next tenant's gates should see.
+        let depth = self.engine.pool().queue_depth_hint();
         let policy = self.policy;
+        let Some(t) = self.tenants.get_mut(&key) else {
+            return 0;
+        };
+        t.harvest(&self.metrics, &*self.clock);
         let mut dispatched = 0;
-        for i in 0..keys.len() {
-            let key = keys[(start + i) % keys.len()];
-            // Re-sampled per visit (not per item): each dispatch batch
-            // changes the depth the next tenant's gates should see.
-            let depth = self.engine.pool().queue_depth_hint();
-            let Some(t) = self.tenants.get_mut(&key) else {
-                continue;
-            };
-            t.harvest(&self.metrics, &*self.clock);
-            if !t.backlog.is_empty()
-                && policy.pool_room(depth)
-                && policy.cost_room(depth, t.cost_ns)
-            {
-                let room = quota.saturating_sub(t.session.in_flight());
-                if room > 0 {
-                    let take = room.min(t.backlog.len());
-                    let chunk: Vec<P> = t.backlog.drain(..take).collect();
-                    t.submitted += take as u64;
-                    dispatched += take;
-                    t.stamp_fed(take, &self.metrics, &*self.clock);
-                    t.session.feed_batch(chunk);
-                }
+        if !t.backlog.is_empty() && policy.pool_room(depth) && policy.cost_room(depth, t.cost_ns) {
+            dispatched = policy
+                .max_in_flight
+                .saturating_sub(t.session.in_flight())
+                .min(t.backlog.len());
+            if dispatched > 0 {
+                let chunk: Vec<P> = t.backlog.drain(..dispatched).collect();
+                t.submitted += dispatched as u64;
+                t.stamp_fed(dispatched, &self.metrics, &*self.clock);
+                t.session.feed_batch(chunk);
             }
-            self.refresh(key);
         }
+        self.refresh(key);
         dispatched
     }
 
@@ -617,8 +623,10 @@ where
     }
 
     /// Whether no tenant holds backlogged or in-flight items — i.e. a
-    /// drain cycle has nothing left to dispatch or await. The sharded
-    /// front's driver threads and [`quiesce`](Self::quiesce) poll this.
+    /// drain cycle has nothing left to dispatch or await.
+    /// [`quiesce`](Self::quiesce) and the sharded front's
+    /// [`quiesce`](crate::ShardedServe::quiesce) run drain cycles on the
+    /// caller's thread until this holds.
     pub fn settled(&self) -> bool {
         self.tenants
             .values()

@@ -1,16 +1,15 @@
-//! Sharded, multi-threaded ingress: N registries, N driver threads,
-//! one engine.
+//! Sharded ingress: N registries over one engine, served by the
+//! callers' own threads.
 //!
 //! A single [`ServeRegistry`] multiplexes any number of tenants, but
-//! one driver thread owns the whole registry — ingress and drain
-//! serialize on one core, the opposite of the paper's goal of exploiting
-//! "the maximum number of active threads" the hardware allows.
-//! [`ShardedServe`] splits the tenant population over `N` independent
-//! `ServeRegistry` shards (by hash of [`TenantId`] — the mapping is
-//! pure, so there is never anything to rebalance), each owned by its
-//! own **driver thread** running the feed→drain→harvest loop. The
-//! autonomic loop of every tenant stays local to its shard; what the
-//! shards share is exactly the global capacity plane:
+//! behind one `&mut` every ingress call serializes on one lock — the
+//! opposite of the paper's goal of exploiting "the maximum number of
+//! active threads" the hardware allows. [`ShardedServe`] splits the
+//! tenant population over `N` independent `ServeRegistry` shards, each
+//! behind its own mutex, chosen by hash of [`TenantId`] (the mapping is
+//! pure, so there is never anything to rebalance). The autonomic loop
+//! of every tenant stays local to its shard; what the shards share is
+//! exactly the global capacity plane:
 //!
 //! * **one [`Engine`] / pool** — all shards submit into the same
 //!   workers, so capacity decisions (LP, provisioning) stay global;
@@ -23,20 +22,27 @@
 //!   *across* shards and the latency-aware admission gate prices every
 //!   shard's tenants from the same history.
 //!
-//! Ingress ([`feed`](ShardedServe::feed) /
-//! [`feed_batch`](ShardedServe::feed_batch)) takes only the owning
-//! shard's lock: `K` ingress threads feeding tenants on different
-//! shards proceed in parallel, and each shard's driver drains
-//! concurrently with ingress on every other shard. All registry
-//! semantics (admission gates, key-rotating round-robin fairness,
-//! per-tenant result order) hold per shard unchanged.
+//! **Each call serves its tenant.** The front owns no thread. Every
+//! per-tenant call takes only the owning shard's lock and, under it,
+//! runs that tenant's service step (harvest, backlog dispatch up to the
+//! quota, route and estimator refresh): after admission in
+//! [`feed`](ShardedServe::feed) / [`feed_batch`](ShardedServe::feed_batch),
+//! before reading in [`take_ready`](ShardedServe::take_ready),
+//! [`stats`](ShardedServe::stats) and
+//! [`tenant_sojourn`](ShardedServe::tenant_sojourn). Work itself runs on
+//! the pool; a backlog moves whenever its owner polls, and
+//! [`quiesce`](ShardedServe::quiesce) runs full drain cycles on the
+//! caller's thread. `K` callers on tenants of different shards proceed
+//! in parallel. All registry semantics (admission gates, key-rotating
+//! round-robin fairness, per-tenant result order) hold per shard
+//! unchanged. A user [`Rule`](askel_adapt::Rule) that panics at a
+//! dispatch safe point unwinds into the call that ran it; the shard
+//! lock is released on the way out and its other tenants keep serving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use askel_adapt::TriggerEngine;
 use askel_core::AutonomicController;
@@ -59,41 +65,14 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard: its registry, and the doorbell its driver sleeps on.
-struct ShardSlot<P, R> {
-    registry: Mutex<ServeRegistry<P, R>>,
-    /// Set by ingress after handing the shard new work; cleared by the
-    /// driver when it wakes.
-    dirty: Mutex<bool>,
-    doorbell: Condvar,
-}
-
-struct Inner<P, R> {
+/// N `ServeRegistry` shards over one shared engine, served by the
+/// threads that call into them; see the module docs.
+pub struct ShardedServe<P, R> {
     engine: Engine,
     monitor: Arc<ServeMonitor>,
     shared: SharedEstimators,
-    shards: Vec<ShardSlot<P, R>>,
+    shards: Vec<Mutex<ServeRegistry<P, R>>>,
     next_tenant: AtomicU64,
-    stop: AtomicBool,
-}
-
-impl<P, R> Inner<P, R> {
-    fn slot(&self, tenant: TenantId) -> &ShardSlot<P, R> {
-        &self.shards[(splitmix64(tenant.0) % self.shards.len() as u64) as usize]
-    }
-
-    /// Rings a shard's doorbell so its driver re-runs the loop now.
-    fn ring(&self, slot: &ShardSlot<P, R>) {
-        *slot.dirty.lock() = true;
-        slot.doorbell.notify_one();
-    }
-}
-
-/// N `ServeRegistry` shards over one shared engine, each driven by its
-/// own thread; see the module docs.
-pub struct ShardedServe<P, R> {
-    inner: Arc<Inner<P, R>>,
-    drivers: Vec<JoinHandle<()>>,
 }
 
 impl<P, R> ShardedServe<P, R>
@@ -102,69 +81,50 @@ where
     R: Send + 'static,
 {
     /// `shards` registries (≥ 1) over a non-owning clone of `engine`,
-    /// with `policy` applied to every shard, and one driver thread per
-    /// shard started immediately. Shutting the engine down remains the
-    /// caller's job (after [`quiesce`](Self::quiesce) and drop/
-    /// [`join`](Self::join)).
+    /// with `policy` applied to every shard. Shutting the engine down
+    /// remains the caller's job (after [`quiesce`](Self::quiesce)).
     pub fn new(engine: &Engine, shards: usize, policy: AdmissionPolicy) -> Self {
-        let shards = shards.max(1);
         let monitor = ServeMonitor::new();
         let shared = SharedEstimators::new(0.5);
         let registered = Arc::new(AtomicBool::new(false));
-        let slots = (0..shards)
-            .map(|i| ShardSlot {
-                registry: Mutex::new(ServeRegistry::new_shard(
+        let shards = (0..shards.max(1))
+            .map(|i| {
+                Mutex::new(ServeRegistry::new_shard(
                     engine,
                     Arc::clone(&monitor),
                     shared.clone(),
                     Arc::clone(&registered),
                     i as u32,
                     policy,
-                )),
-                dirty: Mutex::new(false),
-                doorbell: Condvar::new(),
+                ))
             })
             .collect();
-        let inner = Arc::new(Inner {
+        ShardedServe {
             engine: engine.clone(),
             monitor,
             shared,
-            shards: slots,
+            shards,
             next_tenant: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        });
-        let drivers = (0..shards)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("askel-serve-shard-{i}"))
-                    .spawn(move || drive(&inner, i))
-                    .expect("spawn shard driver")
-            })
-            .collect();
-        ShardedServe { inner, drivers }
+        }
+    }
+
+    fn shard(&self, tenant: TenantId) -> &Mutex<ServeRegistry<P, R>> {
+        &self.shards[self.shard_of(tenant)]
     }
 
     /// Attaches one shared WCT controller to the multiplexed loop (all
     /// shards; see [`ServeRegistry::attach_controller`]).
     pub fn attach_controller(&self, controller: Arc<AutonomicController>) {
-        for slot in &self.inner.shards {
-            slot.registry
-                .lock()
-                .attach_controller(Arc::clone(&controller));
+        for shard in &self.shards {
+            shard.lock().attach_controller(Arc::clone(&controller));
         }
     }
 
     /// Registers a plain tenant on its hash-owned shard (see
     /// [`ServeRegistry::register`]).
     pub fn register(&self, skel: &Skel<P, R>) -> TenantId {
-        let id = self.inner.next_tenant.fetch_add(1, Ordering::SeqCst);
-        let tenant = TenantId(id);
-        self.inner
-            .slot(tenant)
-            .registry
-            .lock()
-            .register_with_id(id, skel)
+        let id = self.next_tenant.fetch_add(1, Ordering::SeqCst);
+        self.shard(TenantId(id)).lock().register_with_id(id, skel)
     }
 
     /// Registers an adaptive tenant on its hash-owned shard: events are
@@ -173,81 +133,80 @@ where
     /// warms structural twins on every shard (see
     /// [`ServeRegistry::register_adaptive`]).
     pub fn register_adaptive(&self, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> TenantId {
-        let id = self.inner.next_tenant.fetch_add(1, Ordering::SeqCst);
-        let tenant = TenantId(id);
-        self.inner
-            .slot(tenant)
-            .registry
+        let id = self.next_tenant.fetch_add(1, Ordering::SeqCst);
+        self.shard(TenantId(id))
             .lock()
             .register_adaptive_with_id(id, skel, trigger)
     }
 
-    /// Feeds one item through the owning shard's admission gates and
-    /// rings that shard's driver. Only the owning shard's lock is
-    /// taken.
+    /// Feeds one item through the owning shard's admission gates, then
+    /// serves the tenant. Only the owning shard's lock is taken.
     pub fn feed(&self, tenant: TenantId, input: P) -> Admission {
-        let slot = self.inner.slot(tenant);
-        let out = slot.registry.lock().feed(tenant, input);
-        self.inner.ring(slot);
+        let mut shard = self.shard(tenant).lock();
+        let out = shard.feed(tenant, input);
+        shard.service(tenant.0);
         out
     }
 
     /// Feeds a batch through the owning shard's admission gates (one
-    /// depth sample, one pool transaction per admitted chunk) and rings
-    /// that shard's driver.
+    /// depth sample, one pool transaction per admitted chunk), then
+    /// serves the tenant.
     pub fn feed_batch(&self, tenant: TenantId, inputs: Vec<P>) -> BatchAdmission {
-        let slot = self.inner.slot(tenant);
-        let out = slot.registry.lock().feed_batch(tenant, inputs);
-        self.inner.ring(slot);
+        let mut shard = self.shard(tenant).lock();
+        let out = shard.feed_batch(tenant, inputs);
+        shard.service(tenant.0);
         out
     }
 
-    /// Takes every result the tenant has finished, in submission order,
-    /// without blocking (see [`ServeRegistry::take_ready`]).
+    /// Serves the tenant, then takes every result it has finished, in
+    /// submission order, without blocking (see
+    /// [`ServeRegistry::take_ready`]). Polling this alone drains the
+    /// tenant's backlog.
     pub fn take_ready(&self, tenant: TenantId) -> Vec<Result<R, EngineError>> {
-        self.inner.slot(tenant).registry.lock().take_ready(tenant)
+        let mut shard = self.shard(tenant).lock();
+        shard.service(tenant.0);
+        shard.take_ready(tenant)
     }
 
     /// Detaches the tenant from its shard, flushing its backlog and
     /// returning its remaining results (see [`ServeRegistry::detach`]).
-    /// Safe to call while the shard's driver is mid-drain: the shard
-    /// lock serializes them, and the driver's key-rotating cursor skips
-    /// over removed tenants without re-favoring anyone.
+    /// Safe to call while another thread drains the shard: the shard
+    /// lock serializes them, and the key-rotating cursor skips over
+    /// removed tenants without re-favoring anyone.
     pub fn detach(&self, tenant: TenantId) -> Option<Vec<Result<R, EngineError>>> {
-        self.inner.slot(tenant).registry.lock().detach(tenant)
+        self.shard(tenant).lock().detach(tenant)
     }
 
-    /// A snapshot of `tenant`'s counters; `None` if unknown.
+    /// Serves the tenant, then snapshots its counters; `None` if
+    /// unknown.
     pub fn stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.inner.slot(tenant).registry.lock().stats(tenant)
+        let mut shard = self.shard(tenant).lock();
+        shard.service(tenant.0);
+        shard.stats(tenant)
     }
 
-    /// The tenant's sojourn histogram (cloned out of its shard); `None`
-    /// for an unknown tenant.
+    /// Serves the tenant, then clones its sojourn histogram out of its
+    /// shard; `None` for an unknown tenant.
     pub fn tenant_sojourn(&self, tenant: TenantId) -> Option<HistogramSnapshot> {
-        self.inner
-            .slot(tenant)
-            .registry
-            .lock()
-            .tenant_sojourn(tenant)
-            .cloned()
+        let mut shard = self.shard(tenant).lock();
+        shard.service(tenant.0);
+        shard.tenant_sojourn(tenant).cloned()
     }
 
     /// Blocks until every shard is settled — no backlogged or in-flight
     /// items anywhere; every fed item's result is then harvestable via
-    /// [`take_ready`](Self::take_ready). The driver threads do the
-    /// draining; this only rings and polls.
+    /// [`take_ready`](Self::take_ready). Runs drain cycles on the
+    /// caller's thread, taking each shard's lock once per pass and
+    /// never while waiting.
     pub fn quiesce(&self) {
         loop {
-            let mut all = true;
-            for slot in &self.inner.shards {
-                let settled = slot.registry.lock().settled();
-                if !settled {
-                    all = false;
-                    self.inner.ring(slot);
-                }
+            let mut settled = true;
+            for shard in &self.shards {
+                let mut shard = shard.lock();
+                shard.drain_cycle();
+                settled &= shard.settled();
             }
-            if all {
+            if settled {
                 return;
             }
             std::thread::yield_now();
@@ -256,11 +215,7 @@ where
 
     /// How many tenants are registered, over all shards.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.registry.lock().len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether no tenants are registered on any shard.
@@ -268,106 +223,47 @@ where
         self.len() == 0
     }
 
-    /// How many shards (== driver threads) the front runs.
+    /// How many registry shards the front holds.
     pub fn shards(&self) -> usize {
-        self.inner.shards.len()
+        self.shards.len()
     }
 
     /// The shard index that owns `tenant` (pure hash — stable for the
     /// front's lifetime).
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        (splitmix64(tenant.0) % self.inner.shards.len() as u64) as usize
+        (splitmix64(tenant.0) % self.shards.len() as u64) as usize
     }
 
     /// The shared engine (non-owning clone).
     pub fn engine(&self) -> &Engine {
-        &self.inner.engine
+        &self.engine
     }
 
     /// The single multiplexed event monitor all shards route through.
     pub fn monitor(&self) -> &Arc<ServeMonitor> {
-        &self.inner.monitor
+        &self.monitor
     }
 
     /// The global cross-shard estimator pool.
     pub fn shared_estimators(&self) -> &SharedEstimators {
-        &self.inner.shared
+        &self.shared
     }
 
     /// One unified metrics snapshot: the shared hub's series plus every
     /// shard's per-tenant sojourn histograms.
     pub fn export_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.inner.engine.metrics_hub().snapshot();
-        for slot in &self.inner.shards {
-            slot.registry.lock().append_tenant_histograms(&mut snap);
+        let mut snap = self.engine.metrics_hub().snapshot();
+        for shard in &self.shards {
+            shard.lock().append_tenant_histograms(&mut snap);
         }
         snap
     }
 
-    /// Stops and joins the driver threads. In-flight work is not
-    /// awaited — call [`quiesce`](Self::quiesce) first if every fed
-    /// item must complete. Dropping the front joins implicitly.
-    pub fn join(mut self) {
-        self.stop_drivers();
-    }
-}
-
-impl<P, R> ShardedServe<P, R> {
-    fn stop_drivers(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        for slot in &self.inner.shards {
-            self.inner.ring(slot);
-        }
-        for handle in self.drivers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl<P, R> Drop for ShardedServe<P, R> {
-    fn drop(&mut self) {
-        self.stop_drivers();
-    }
-}
-
-/// One shard's driver: the feed→drain→harvest loop. Each pass runs one
-/// fairness round (`drain_cycle` — harvest + backlog dispatch + route/
-/// estimator refresh) under the shard lock, then decides how to wait:
-/// keep going while it dispatched something, nap briefly while items
-/// are in flight (harvest again soon without camping on the lock
-/// ingress needs), or sleep on the doorbell until ingress rings.
-fn drive<P, R>(inner: &Inner<P, R>, idx: usize)
-where
-    P: Send + 'static,
-    R: Send + 'static,
-{
-    let slot = &inner.shards[idx];
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let (dispatched, settled) = {
-            let mut registry = slot.registry.lock();
-            let dispatched = registry.drain_cycle();
-            (dispatched, registry.settled())
-        };
-        if dispatched > 0 {
-            continue;
-        }
-        let wait = if settled {
-            // Nothing owed: sleep until ingress rings (bounded, so a
-            // missed edge can only ever delay work by one period).
-            Duration::from_millis(1)
-        } else {
-            // In flight on the pool: re-harvest soon, off the lock.
-            Duration::from_micros(50)
-        };
-        let mut dirty = slot.dirty.lock();
-        if !*dirty {
-            slot.doorbell.wait_for(&mut dirty, wait);
-        }
-        *dirty = false;
-    }
+    /// Consumes the front. It owns no threads, so there is nothing to
+    /// stop; in-flight work is not awaited — call
+    /// [`quiesce`](Self::quiesce) first if every fed item must
+    /// complete.
+    pub fn join(self) {}
 }
 
 #[cfg(test)]
@@ -416,7 +312,7 @@ mod tests {
     fn drivers_dispatch_backlogs_without_explicit_drain_calls() {
         let engine = Engine::new(2);
         // Quota 1 forces nearly everything through the backlog: only
-        // the shard drivers can dispatch it.
+        // the quiescing caller's drain cycles can dispatch it.
         let policy = AdmissionPolicy::default().max_in_flight(1).max_backlog(512);
         let serve: ShardedServe<i64, i64> = ShardedServe::new(&engine, 4, policy);
         let t = serve.register(&seq(|x: i64| x + 1));
@@ -433,6 +329,34 @@ mod tests {
         engine.shutdown();
     }
 
+    /// Caller-driven progress: a client that only polls `take_ready`
+    /// (no `quiesce`, no `stats`) still drains a whole backlog, because
+    /// every poll serves the tenant it reads.
+    #[test]
+    fn take_ready_polling_alone_drains_a_backlog() {
+        let engine = Engine::new(2);
+        let policy = AdmissionPolicy::default().max_in_flight(1).max_backlog(512);
+        let serve: ShardedServe<i64, i64> = ShardedServe::new(&engine, 2, policy);
+        let t = serve.register(&seq(|x: i64| x + 1));
+        let out = serve.feed_batch(t, (0..64).collect());
+        assert_eq!(out.submitted + out.queued, 64, "nothing shed");
+        assert!(out.queued >= 62, "quota 1 backlogs nearly everything");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut got = Vec::new();
+        while got.len() < 64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "backlog stalled at {} of 64 results",
+                got.len()
+            );
+            got.extend(serve.take_ready(t).into_iter().map(|r| r.unwrap()));
+            std::thread::yield_now();
+        }
+        assert_eq!(got, (1..=64).collect::<Vec<_>>());
+        serve.join();
+        engine.shutdown();
+    }
+
     #[test]
     fn empty_front_joins_cleanly() {
         let engine = Engine::new(1);
@@ -440,7 +364,7 @@ mod tests {
             ShardedServe::new(&engine, 2, AdmissionPolicy::default());
         assert!(serve.is_empty());
         serve.quiesce();
-        drop(serve); // Drop path joins the drivers
+        drop(serve); // nothing to stop: the front owns no threads
         engine.shutdown();
     }
 }

@@ -15,10 +15,10 @@
 //!    forecast gate (`predictive_wct`) is open from its very first safe
 //!    point instead of after its own warm-up.
 //! 4. **Sharded ingress** — `ShardedServe` splits the tenant population
-//!    over N registry shards (pure hash of the tenant id), each drained
-//!    by its own driver thread, all over the same shared engine: feeds
-//!    lock only the owning shard, and backlogs dispatch in the
-//!    background without any explicit `drain_cycle` calls.
+//!    over N registry shards (pure hash of the tenant id), all over the
+//!    same shared engine. It runs no thread of its own: each call locks
+//!    only the owning shard and serves its tenant there, and `quiesce`
+//!    drains every backlog on the calling thread.
 //!
 //! Run with: `cargo run --example serve_multi_tenant`
 
@@ -136,9 +136,9 @@ fn main() {
 
     // --- 4. Sharded multi-threaded ingress ---------------------------
     // The same engine now also carries a ShardedServe: tenants hash onto
-    // 4 registry shards, each with its own driver thread. Feeds from
-    // concurrent ingress threads lock only the owning shard, and the
-    // drivers dispatch every backlog in the background.
+    // 4 registry shards. Feeds from concurrent ingress threads lock only
+    // the owning shard and serve their tenant under that lock; quiesce
+    // then drains every backlog on this thread.
     let serve: ShardedServe<Vec<i64>, i64> =
         ShardedServe::new(&engine, 4, AdmissionPolicy::default().max_in_flight(4));
     let shard_tenants: Vec<TenantId> = (0..8).map(|_| serve.register(&program())).collect();
@@ -163,8 +163,8 @@ fn main() {
         }
     }
     println!(
-        "{} tenants over {} shard drivers: 2 ingress threads fed {} items, \
-         the drivers drained them all",
+        "{} tenants over {} shards: 2 ingress threads fed {} items, \
+         quiesce drained them all on the calling thread",
         shard_tenants.len(),
         serve.shards(),
         shard_tenants.len() * 16,

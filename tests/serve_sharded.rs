@@ -1,9 +1,15 @@
 //! Sharded-serve integration: per-tenant correctness with concurrent
-//! ingress threads and concurrent shard drivers, including detach under
-//! a live drain.
+//! ingress threads serving their own tenants, including detach under a
+//! live drain and a rule that panics while `quiesce` drains its shard.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use askel_adapt::{Rule, RuleCtx, RuleFire, TriggerEngine};
 use askel_engine::Engine;
 use askel_serve::{Admission, AdmissionPolicy, RejectReason, ShardedServe};
 use askel_skeletons::{map, pipe, seq, Skel};
@@ -56,7 +62,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Six tenants over four shard drivers, fed from three concurrent
+    /// Six tenants over four shards, fed from three concurrent
     /// ingress threads with random feed/feed_batch/detach interleavings:
     /// every tenant's harvested results equal its sequential reference —
     /// the items it fed before its detach, applied in feed order.
@@ -92,7 +98,7 @@ proptest! {
 
         // Partition ops by owning ingress thread (tenant % threads), in
         // order — each tenant's schedule stays sequential on its owner
-        // while the owners and the four shard drivers all race.
+        // while the owners race each other over the four shards.
         let mut lanes: Vec<Vec<(usize, OpKind)>> = vec![Vec::new(); INGRESS_THREADS];
         for op in ops {
             lanes[op.0 % INGRESS_THREADS].push(op);
@@ -142,21 +148,20 @@ proptest! {
     }
 }
 
-/// Detaching a tenant while its shard's driver is actively draining its
-/// backlog loses nothing: every admitted item's result comes back, in
+/// Detaching a tenant while its backlog is still draining loses nothing: every admitted item's result comes back, in
 /// submission order, and later feeds are rejected as unknown.
 #[test]
 fn detach_while_driver_is_draining_loses_nothing() {
     let engine = Engine::new(2);
-    // Quota 1 + deep backlog: the driver dispatches one item per cycle,
-    // so the backlog drains gradually while we detach mid-flight.
+    // Quota 1 + deep backlog: each service dispatches one item, so the
+    // backlog drains gradually while we detach mid-flight.
     let policy = AdmissionPolicy::default().max_in_flight(1).max_backlog(512);
     let serve: ShardedServe<i64, i64> = ShardedServe::new(&engine, 4, policy);
     let t = serve.register(&seq(|x: i64| x * 3));
     let out = serve.feed_batch(t, (0..200).collect());
     assert_eq!(out.submitted + out.queued, 200, "nothing shed");
-    // Let the driver make some progress, then yank the tenant out from
-    // under it.
+    // Let the backlog make some progress (each `stats` call serves the
+    // tenant), then yank the tenant out from under it.
     while serve.stats(t).map(|s| s.completed).unwrap_or(0) == 0 {
         std::thread::yield_now();
     }
@@ -171,5 +176,78 @@ fn detach_while_driver_is_draining_loses_nothing() {
     assert_eq!(serve.detach(t), None, "second detach finds nothing");
     serve.quiesce();
     serve.join();
+    engine.shutdown();
+}
+
+/// A rule that panics on its second evaluation and stays silent
+/// otherwise.
+struct PanicsOnSecond {
+    evaluations: AtomicUsize,
+}
+
+impl Rule for PanicsOnSecond {
+    fn name(&self) -> &str {
+        "panics-on-second"
+    }
+
+    fn evaluate(&self, _ctx: &RuleCtx<'_>) -> Option<RuleFire> {
+        if self.evaluations.fetch_add(1, Ordering::SeqCst) == 1 {
+            panic!("rule panics on its second evaluation");
+        }
+        None
+    }
+}
+
+/// A user rule that panics at a backlog-dispatch safe point must neither
+/// hang `quiesce` nor stall the shard: `quiesce` returns or unwinds
+/// within the watchdog, and a plain tenant on the same shard still
+/// serves correct results afterwards.
+#[test]
+fn panicking_rule_neither_hangs_quiesce_nor_stalls_the_shard() {
+    let engine = Engine::new(2);
+    let policy = AdmissionPolicy::default().max_in_flight(1).max_backlog(64);
+    let serve: Arc<ShardedServe<i64, i64>> = Arc::new(ShardedServe::new(&engine, 1, policy));
+    // The first item holds until the gate opens, so the second (whose
+    // dispatch runs the panicking safe point) cannot leave the backlog
+    // inside `feed_batch`.
+    let gate = Arc::new(AtomicBool::new(false));
+    let open = Arc::clone(&gate);
+    let gated = seq(move |x: i64| {
+        while !open.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        x * 2
+    });
+    let trigger = TriggerEngine::new(0.5);
+    trigger.add_rule(PanicsOnSecond {
+        evaluations: AtomicUsize::new(0),
+    });
+    let adaptive = serve.register_adaptive(&gated, trigger);
+    let out = serve.feed_batch(adaptive, vec![1, 2, 3]);
+    assert_eq!((out.submitted, out.queued), (1, 2), "quota 1 backlogs two");
+    gate.store(true, Ordering::Release);
+
+    let (done, watchdog) = mpsc::channel();
+    let quiescing = Arc::clone(&serve);
+    let quiescer = std::thread::spawn(move || {
+        let _ = catch_unwind(AssertUnwindSafe(|| quiescing.quiesce()));
+        let _ = done.send(());
+    });
+    watchdog
+        .recv_timeout(Duration::from_secs(10))
+        .expect("quiesce neither returned nor unwound within 10 s");
+    quiescer.join().expect("the unwind was caught");
+
+    let plain = serve.register(&seq(|x: i64| x + 1));
+    assert_eq!(serve.shard_of(plain), serve.shard_of(adaptive), "one shard");
+    let out = serve.feed_batch(plain, (0..8).collect());
+    assert_eq!(out.submitted + out.queued, 8, "nothing shed");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got = Vec::new();
+    while got.len() < 8 && Instant::now() < deadline {
+        got.extend(serve.take_ready(plain).into_iter().map(|r| r.unwrap()));
+        std::thread::yield_now();
+    }
+    assert_eq!(got, (1..=8).collect::<Vec<_>>());
     engine.shutdown();
 }
