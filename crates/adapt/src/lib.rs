@@ -13,10 +13,13 @@
 //!
 //! * **Monitor/Analyze** — [`TriggerEngine`], an ordinary event
 //!   [`Listener`](askel_events::Listener): per-muscle EWMA durations and
-//!   cardinalities (the same state machines as the WCT controller, and
-//!   optionally *seeded from* a controller via
-//!   [`TriggerEngine::seed_from`]), plus item outcomes and input-size
-//!   hints that events cannot carry.
+//!   cardinalities (the same state machines as the WCT controller), plus
+//!   item outcomes and input-size hints that events cannot carry. A
+//!   stream that also runs a controller keeps one tracker: after
+//!   [`Reconfigurator::sync_controller`] the trigger reads and writes the
+//!   controller's, which the controller feeds. An unsynced trigger keeps
+//!   its own, optionally *seeded from* a controller via
+//!   [`TriggerEngine::seed_from`].
 //! * **Plan** — [`Rule`]s ([`Promote`], [`FallbackSwap`], [`RetuneWidth`],
 //!   [`RetuneGrain`], [`Offload`], [`CostGuard`]) evaluated once per safe
 //!   point, each yielding at most one [`RewriteAction`]. Rules can be
@@ -41,8 +44,9 @@
 //!   registry, an [`AdaptRecord`] lands in the decision log — symmetric
 //!   to the controller's `AnalysisRecord` — and estimator history for
 //!   the replaced subtree is invalidated
-//!   ([`TriggerEngine::invalidate_estimates_for`]) so the next forecast
-//!   is computed from the live tree.
+//!   ([`TriggerEngine::invalidate_estimates_for`]; one purge serves a
+//!   synced controller too) so the next forecast is computed from the
+//!   live tree.
 //!
 //! [`AdaptiveSession`] packages the loop over `askel-engine`'s
 //! `StreamSession`; [`AdaptiveSimSession`] packages the *same* loop over

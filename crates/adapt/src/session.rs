@@ -7,6 +7,9 @@
 //! decision log. It is engine-agnostic — the same type drives the threaded
 //! engine and the discrete-event simulator, which is what makes rewrite
 //! decisions reproducible in tests and benches.
+//! [`Reconfigurator::sync_controller`] hands the trigger a WCT
+//! controller's tracker, so a stream running both managers replays each
+//! event once and invalidates one estimator table per rewrite.
 //!
 //! [`AdaptiveSession`] wires it into a stream: a `StreamSession` whose
 //! skeleton is re-planned **between items** (the safe points). Items
@@ -71,9 +74,6 @@ pub struct Reconfigurator {
     trigger: Arc<TriggerEngine>,
     lp: Box<dyn Fn() -> usize + Send + Sync>,
     policy: ConflictPolicy,
-    /// A WCT controller whose estimator history is invalidated alongside
-    /// the trigger's on every applied subtree replacement.
-    controller: Option<Arc<AutonomicController>>,
 }
 
 impl Reconfigurator {
@@ -91,7 +91,6 @@ impl Reconfigurator {
             trigger,
             lp: Box::new(|| 1),
             policy: ConflictPolicy::default(),
-            controller: None,
         }
     }
 
@@ -119,15 +118,18 @@ impl Reconfigurator {
         self
     }
 
-    /// Keeps a WCT controller's estimator table consistent with the
-    /// rewritten tree: on every applied subtree replacement, the
-    /// replaced nodes' history is invalidated in `controller` as well as
-    /// in the trigger engine
-    /// ([`AutonomicController::invalidate_estimates_for`]) — the
-    /// controller↔trigger feedback loop, so post-rewrite forecasts on
-    /// either side are computed from the live tree.
-    pub fn sync_controller(mut self, controller: Arc<AutonomicController>) -> Self {
-        self.controller = Some(controller);
+    /// Makes the trigger engine share `controller`'s tracker
+    /// ([`AutonomicController::tracker`]) instead of keeping its own: the
+    /// stream then replays each event through one set of state machines,
+    /// both managers decide from one estimator table, and the
+    /// invalidation on an applied subtree replacement reaches both. The
+    /// trigger's own statistics so far are dropped.
+    ///
+    /// `controller` must listen on the same registry as the trigger: it
+    /// now feeds the shared tracker, and the synced trigger only watches
+    /// root submissions (for its forecast audit).
+    pub fn sync_controller(self, controller: Arc<AutonomicController>) -> Self {
+        self.trigger.share_tracker(&controller);
         self
     }
 
@@ -156,9 +158,10 @@ impl Reconfigurator {
     ///   against the new tree (the built-in replacement rules gate on
     ///   their target being present).
     /// * **Estimator invalidation** — every applied `Replace` drops the
-    ///   replaced nodes' estimator history from the trigger engine (and
-    ///   from a [`sync_controller`](Reconfigurator::sync_controller)'d
-    ///   WCT controller), so the next forecast cannot cite a tree that
+    ///   replaced nodes' estimator history from the trigger engine's
+    ///   table (which, after
+    ///   [`sync_controller`](Reconfigurator::sync_controller), is the WCT
+    ///   controller's too), so the next forecast cannot cite a tree that
     ///   no longer exists, and notifies rules via
     ///   [`Rule::on_replaced`](crate::Rule::on_replaced).
     pub fn apply<P, R>(&self, vskel: &mut VersionedSkel<P, R>) -> usize
@@ -220,9 +223,6 @@ impl Reconfigurator {
                         .filter(|id| !kept.contains(id))
                         .collect();
                     let dropped = self.trigger.invalidate_estimates_for(&removed);
-                    if let Some(controller) = &self.controller {
-                        controller.invalidate_estimates_for(&removed);
-                    }
                     self.trigger.note_replaced(target, &replacement);
                     let mut action = format!("replace {target} with {}", replacement.id);
                     if dropped > 0 {
@@ -431,9 +431,9 @@ where
         self
     }
 
-    /// Forwards to [`Reconfigurator::sync_controller`]: a WCT controller
-    /// whose estimator history is invalidated alongside the trigger
-    /// engine's whenever a subtree is replaced.
+    /// Forwards to [`Reconfigurator::sync_controller`]: the trigger
+    /// engine reads and writes the WCT controller's tracker, which the
+    /// controller (registered on the same engine) feeds.
     pub fn sync_controller(mut self, controller: Arc<AutonomicController>) -> Self {
         self.reconf = self.reconf.sync_controller(controller);
         self

@@ -19,7 +19,6 @@
 
 use std::sync::Arc;
 
-use askel_core::AutonomicController;
 use askel_sim::components::Component;
 use askel_sim::{SimEngine, SimError, StreamReport};
 use askel_skeletons::{Clock, Skel};
@@ -86,12 +85,6 @@ where
     /// Forwards to [`Reconfigurator::conflict_policy`].
     pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
         self.reconf = self.reconf.conflict_policy(policy);
-        self
-    }
-
-    /// Forwards to [`Reconfigurator::sync_controller`].
-    pub fn sync_controller(mut self, controller: Arc<AutonomicController>) -> Self {
-        self.reconf = self.reconf.sync_controller(controller);
         self
     }
 
@@ -171,10 +164,5 @@ where
     /// The underlying simulator (registry, clock, telemetry).
     pub fn sim(&self) -> &SimEngine {
         &self.sim
-    }
-
-    /// Mutable access to the simulator (e.g. `set_lp` between streams).
-    pub fn sim_mut(&mut self) -> &mut SimEngine {
-        &mut self.sim
     }
 }

@@ -8,6 +8,14 @@
 //! session-level statistics the events cannot carry: per-item outcomes
 //! (error streaks, fed by the adaptive session) and input-size hints.
 //!
+//! A stream that also runs a WCT controller keeps **one** tracker:
+//! [`Reconfigurator::sync_controller`](crate::Reconfigurator::sync_controller)
+//! points the trigger at the controller's
+//! ([`AutonomicController::tracker`]), which the controller feeds. From
+//! then on the trigger's estimator accessors read and write that table,
+//! and `on_event` only watches root submissions for the forecast audit;
+//! every other event passes through without taking a lock.
+//!
 //! Rules ([`crate::rules`]) are evaluated **only** at safe points, via
 //! [`TriggerEngine::plan`] — never from inside `on_event` — so a rewrite
 //! can fire at most once per safe point and never mid-item. Every applied
@@ -15,6 +23,7 @@
 //! symmetric to the controller's `AnalysisRecord`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -75,8 +84,17 @@ pub struct PlannedRewrite {
     pub veto: bool,
 }
 
+/// The state machines a trigger reads its estimates from.
+enum Tracker {
+    /// Its own, fed by its `on_event`.
+    Own(Box<SmTracker>),
+    /// A synced controller's, fed by the controller. Locked after the
+    /// trigger's state, never before it.
+    Shared(Arc<Mutex<SmTracker>>),
+}
+
 struct TrigInner {
-    tracker: SmTracker,
+    tracker: Tracker,
     errors: ErrorStats,
     input_size: Ewma,
     rules: Vec<Box<dyn Rule>>,
@@ -97,6 +115,9 @@ struct TrigInner {
 /// Event-driven rule host; see the module docs.
 pub struct TriggerEngine {
     inner: Mutex<TrigInner>,
+    /// Set once `inner.tracker` is [`Tracker::Shared`]: lets `on_event`
+    /// skip non-root events without locking.
+    synced: AtomicBool,
 }
 
 impl TriggerEngine {
@@ -105,7 +126,7 @@ impl TriggerEngine {
     pub fn new(rho: f64) -> Arc<Self> {
         Arc::new(TriggerEngine {
             inner: Mutex::new(TrigInner {
-                tracker: SmTracker::new(rho),
+                tracker: Tracker::Own(Box::new(SmTracker::new(rho))),
                 errors: ErrorStats::default(),
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
                 rules: Vec::new(),
@@ -117,6 +138,7 @@ impl TriggerEngine {
                 item_starts: HashMap::new(),
                 metrics: None,
             }),
+            synced: AtomicBool::new(false),
         })
     }
 
@@ -185,10 +207,28 @@ impl TriggerEngine {
         self.inner.lock().errors
     }
 
+    /// Runs `f` on the tracker this trigger reads: a synced controller's,
+    /// else its own.
+    fn with_tracker<T>(&self, f: impl FnOnce(&mut SmTracker) -> T) -> T {
+        let mut inner = self.inner.lock();
+        match &mut inner.tracker {
+            Tracker::Own(tracker) => f(tracker),
+            Tracker::Shared(tracker) => f(&mut tracker.lock()),
+        }
+    }
+
+    /// Makes this trigger read and write `controller`'s tracker from now
+    /// on and drops its own; see the module docs. The controller must
+    /// listen on the registry this trigger's events come from, since it
+    /// alone feeds the shared tracker.
+    pub(crate) fn share_tracker(&self, controller: &AutonomicController) {
+        self.inner.lock().tracker = Tracker::Shared(Arc::clone(controller.tracker()));
+        self.synced.store(true, Ordering::Release);
+    }
+
     /// Read access to the event-derived estimator table.
     pub fn read_estimates<T>(&self, f: impl FnOnce(&EstimatorTable) -> T) -> T {
-        let inner = self.inner.lock();
-        f(inner.tracker.estimates())
+        self.with_tracker(|tracker| f(tracker.estimates()))
     }
 
     /// Seeds the trigger estimators from a WCT controller's live table —
@@ -197,12 +237,12 @@ impl TriggerEngine {
     /// world, instead of each warming up separately.
     pub fn seed_from(&self, controller: &AutonomicController) {
         let table = controller.read_estimates(|t| t.clone());
-        *self.inner.lock().tracker.estimates_mut() = table;
+        self.with_tracker(|tracker| *tracker.estimates_mut() = table);
     }
 
     /// Programmatic estimator initialization (tests, benches).
     pub fn with_estimates(&self, f: impl FnOnce(&mut EstimatorTable)) {
-        f(self.inner.lock().tracker.estimates_mut());
+        self.with_tracker(|tracker| f(tracker.estimates_mut()));
     }
 
     /// One safe point: evaluates every live rule once against the current
@@ -234,8 +274,16 @@ impl TriggerEngine {
             metrics,
             ..
         } = &mut *inner;
+        let shared;
+        let estimates = match tracker {
+            Tracker::Own(tracker) => tracker.estimates(),
+            Tracker::Shared(tracker) => {
+                shared = tracker.lock();
+                shared.estimates()
+            }
+        };
         let ctx = RuleCtx {
-            estimates: tracker.estimates(),
+            estimates,
             errors,
             input_size: input_size.value(),
             root,
@@ -298,11 +346,7 @@ impl TriggerEngine {
     /// from the live tree instead of being steered by history of a
     /// subtree that no longer exists.
     pub fn invalidate_estimates_for(&self, removed: &[NodeId]) -> usize {
-        self.inner
-            .lock()
-            .tracker
-            .estimates_mut()
-            .invalidate_nodes(removed)
+        self.with_tracker(|tracker| tracker.estimates_mut().invalidate_nodes(removed))
     }
 
     /// Tells every registered rule that an applied rewrite replaced the
@@ -366,17 +410,25 @@ pub fn decision_log_to_chrome(log: &[AdaptRecord], trace: &mut askel_obs::Chrome
 
 impl Listener for TriggerEngine {
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
+        let root = event.wher == Where::Skeleton && event.trace.depth() == 1;
+        if !root && self.synced.load(Ordering::Acquire) {
+            // The synced controller feeds the shared tracker.
+            return;
+        }
         let mut inner = self.inner.lock();
-        if event.wher == Where::Skeleton && event.trace.depth() == 1 {
+        if root {
             match event.when {
                 When::Before => {
                     // A fresh root submission: drop finished instance
                     // records so the tracker's memory stays bounded on
                     // long streams (estimates are kept — they are the
-                    // whole point). Track the item's start for the
+                    // whole point; a shared tracker is pruned by its
+                    // controller). Track the item's start for the
                     // forecast audit (bounded: items that never complete
                     // — poisoned runs — are swept wholesale at the cap).
-                    inner.tracker.prune_finished();
+                    if let Tracker::Own(tracker) = &mut inner.tracker {
+                        tracker.prune_finished();
+                    }
                     if inner.item_starts.len() >= 1024 {
                         inner.item_starts.clear();
                     }
@@ -419,7 +471,9 @@ impl Listener for TriggerEngine {
                 }
             }
         }
-        inner.tracker.observe(event);
+        if let Tracker::Own(tracker) = &mut inner.tracker {
+            tracker.observe(event);
+        }
     }
 }
 

@@ -21,6 +21,13 @@
 //!
 //! Every decision is recorded with its inputs so tests and benches can
 //! audit the control loop.
+//!
+//! The controller's [`SmTracker`] is the stream's monitor. A trigger
+//! engine synced to it (`askel_adapt::Reconfigurator::sync_controller`)
+//! reads and writes the same tracker instead of replaying events
+//! through a second one ([`AutonomicController::tracker`]), so both
+//! managers decide from one monitored view and differ only in the plan
+//! they make from it.
 
 use std::sync::Arc;
 
@@ -248,7 +255,6 @@ pub struct AnalysisRecord {
 }
 
 struct Inner {
-    tracker: SmTracker,
     /// Finished subtrees of the live submission, folded once.
     folds: FoldCache,
     /// The previous analysis' graph, rebuilt in place by the next one.
@@ -268,6 +274,9 @@ pub struct AutonomicController {
     config: ControllerConfig,
     actuator: Arc<dyn LpActuator>,
     inner: Mutex<Inner>,
+    /// The state machines this controller feeds. Locked after `inner`,
+    /// never before it; see [`tracker`](Self::tracker).
+    tracker: Arc<Mutex<SmTracker>>,
 }
 
 impl AutonomicController {
@@ -289,8 +298,8 @@ impl AutonomicController {
             muscles,
             config: config.clone(),
             actuator,
+            tracker: Arc::new(Mutex::new(tracker)),
             inner: Mutex::new(Inner {
-                tracker,
                 folds: FoldCache::new(),
                 spare: Adg::default(),
                 current_lp: initial_lp,
@@ -307,45 +316,41 @@ impl AutonomicController {
     /// paper's "Goal with initialization" scenario). Configured aliases
     /// are re-applied to the fresh table.
     pub fn init_estimates(&self, snapshot: &Snapshot) {
-        let mut inner = self.inner.lock();
         let mut table = EstimatorTable::from_snapshot(snapshot);
         for (m, canonical) in &self.config.aliases {
             table.set_alias(*m, *canonical);
         }
-        *inner.tracker.estimates_mut() = table;
+        *self.tracker.lock().estimates_mut() = table;
     }
 
     /// Initializes the estimators programmatically.
     pub fn with_estimates(&self, f: impl FnOnce(&mut EstimatorTable)) {
-        let mut inner = self.inner.lock();
-        f(inner.tracker.estimates_mut());
-    }
-
-    /// Drops estimator history for muscles of the `removed` nodes — the
-    /// controller↔trigger feedback loop on structural rewrites: when a
-    /// reconfiguration (`askel-adapt`) replaces a subtree, the replaced
-    /// nodes' history must not keep steering this controller's ADG
-    /// forecasts toward a tree that no longer exists. Returns the number
-    /// of positional entries dropped (see
-    /// [`EstimatorTable::invalidate_nodes`]).
-    pub fn invalidate_estimates_for(&self, removed: &[askel_skeletons::NodeId]) -> usize {
-        let mut inner = self.inner.lock();
-        inner.tracker.estimates_mut().invalidate_nodes(removed)
+        f(self.tracker.lock().estimates_mut());
     }
 
     /// Snapshot of the current estimates (feed it to the next run).
     pub fn snapshot(&self) -> Snapshot {
-        self.inner.lock().tracker.estimates().snapshot()
+        self.tracker.lock().estimates().snapshot()
     }
 
     /// Read access to the live estimator table, for other autonomic layers
-    /// that want to share this controller's statistics (the
-    /// self-configuration runtime in `askel-adapt` seeds its trigger
-    /// estimates from here). The table lock is held for the duration of
-    /// `f`; keep it short.
+    /// that want to share this controller's statistics. The tracker lock
+    /// is held for the duration of `f`; keep it short.
     pub fn read_estimates<T>(&self, f: impl FnOnce(&EstimatorTable) -> T) -> T {
-        let inner = self.inner.lock();
-        f(inner.tracker.estimates())
+        f(self.tracker.lock().estimates())
+    }
+
+    /// The state machines this controller feeds from its events. A
+    /// trigger engine synced to this controller
+    /// (`askel_adapt::Reconfigurator::sync_controller`) reads and writes
+    /// its estimates here instead of keeping a second tracker, so a
+    /// stream running both managers replays each event once.
+    ///
+    /// Lock order: the controller takes its own state, then this
+    /// tracker; a holder of the tracker lock must not call back into
+    /// the controller.
+    pub fn tracker(&self) -> &Arc<Mutex<SmTracker>> {
+        &self.tracker
     }
 
     /// Forecasts the WCT of one fresh submission of the skeleton rooted
@@ -358,8 +363,7 @@ impl AutonomicController {
     /// to gate promotions on forecast improvement. `None` while the
     /// table does not cover `root`'s muscles.
     pub fn forecast_wct(&self, root: &Arc<Node>, lp: usize) -> Option<TimeNs> {
-        let inner = self.inner.lock();
-        crate::strategy::predictive_wct(inner.tracker.estimates(), root, lp)
+        crate::strategy::predictive_wct(self.tracker.lock().estimates(), root, lp)
     }
 
     /// The LP the controller believes the engine has.
@@ -391,19 +395,19 @@ impl AutonomicController {
     /// Forces an analysis at `now` (tests and benches).
     pub fn force_analyze(&self, now: TimeNs) {
         let mut inner = self.inner.lock();
-        self.analyze(&mut inner, now);
+        let tracker = self.tracker.lock();
+        self.analyze(&mut inner, &tracker, now);
     }
 
-    fn analyze(&self, inner: &mut Inner, now: TimeNs) {
+    fn analyze(&self, inner: &mut Inner, tracker: &SmTracker, now: TimeNs) {
         let Some(deadline) = inner.deadline else {
             return;
         };
         // Analysis gate: every muscle estimated at least once (§4).
-        if !inner.tracker.estimates().covers(&self.muscles) {
+        if !tracker.estimates().covers(&self.muscles) {
             return;
         }
-        let root_live = inner
-            .tracker
+        let root_live = tracker
             .current_root()
             .map(|r| !r.is_finished())
             .unwrap_or(false);
@@ -413,7 +417,7 @@ impl AutonomicController {
         inner.analyses += 1;
 
         let spare = std::mem::take(&mut inner.spare);
-        let adg = AdgBuilder::new(&inner.tracker)
+        let adg = AdgBuilder::new(tracker)
             .recycle(spare)
             .fold_finished(now, &mut inner.folds)
             .build(&self.ast);
@@ -554,20 +558,21 @@ impl AutonomicController {
 impl Listener for AutonomicController {
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
         let mut inner = self.inner.lock();
+        let mut tracker = self.tracker.lock();
         // A new submission of our skeleton starts its WCT window.
         if event.node == self.ast.id
             && event.when == When::Before
             && event.wher == Where::Skeleton
             && event.trace.depth() == 1
         {
-            inner.tracker.prune_finished();
+            tracker.prune_finished();
             inner.folds.clear();
             inner.deadline = Some(event.timestamp + self.config.wct_goal);
         }
-        inner.tracker.observe(event);
+        tracker.observe(event);
         // Estimates only change on After events; analyze there.
         if event.when == When::After && !self.config.manual_analysis {
-            self.analyze(&mut inner, event.timestamp);
+            self.analyze(&mut inner, &tracker, event.timestamp);
         }
     }
 }

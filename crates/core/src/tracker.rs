@@ -17,8 +17,11 @@
 //! them is part of this reproduction's realized future work).
 //!
 //! The tracker is a plain state container — registering it as a listener is
-//! the controller's job (`askel-core::controller`), which also keeps event
-//! observation and ADG analysis under one lock.
+//! the controller's job (`askel-core::controller`), which feeds it and
+//! analyzes it under its own state lock. A stream running both managers
+//! has one tracker: a synced trigger engine (`askel-adapt`) reads the
+//! controller's rather than feeding a second. An unsynced trigger engine
+//! feeds its own.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -124,11 +127,6 @@ impl InstanceRecord {
     /// `true` once the skeleton-After event arrived.
     pub fn is_finished(&self) -> bool {
         self.finished.is_some()
-    }
-
-    /// The latest condition evaluation, if any.
-    pub fn last_cond(&self) -> Option<&CondSpan> {
-        self.conds.last()
     }
 }
 

@@ -122,11 +122,6 @@ impl NodeSpec {
     pub fn round_trip(&self) -> TimeNs {
         self.round_trip
     }
-
-    /// Whether this node is local (no communication overhead).
-    pub fn is_local(&self) -> bool {
-        self.round_trip == TimeNs::ZERO
-    }
 }
 
 #[derive(Debug)]

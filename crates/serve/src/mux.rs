@@ -6,9 +6,7 @@
 //! [`ServeMonitor`] inverts that: it is the **single** listener the
 //! registry installs, and it routes each event to the trigger engines of
 //! the tenants whose tree contains the event's node (an O(1) map
-//! lookup). A shared [`AutonomicController`] — the self-optimization
-//! half of the multiplexed loop — receives every event, exactly as if it
-//! were registered directly.
+//! lookup).
 //!
 //! Routing is by `NodeId`, so tenants running *the same* `Skel` clone
 //! (shared identity) both receive events for their shared nodes — the
@@ -32,7 +30,6 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use askel_adapt::TriggerEngine;
-use askel_core::AutonomicController;
 use askel_events::{Event, Listener, Payload};
 use askel_skeletons::{Node, NodeId};
 
@@ -49,17 +46,11 @@ struct Route {
 #[derive(Default)]
 pub struct ServeMonitor {
     routes: RwLock<HashMap<NodeId, Vec<Route>>>,
-    controller: RwLock<Option<Arc<AutonomicController>>>,
 }
 
 impl ServeMonitor {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(ServeMonitor::default())
-    }
-
-    /// Installs (or replaces) the shared WCT controller fed every event.
-    pub(crate) fn set_controller(&self, controller: Arc<AutonomicController>) {
-        *self.controller.write() = Some(controller);
     }
 
     /// Routes every node of `root`'s tree to `tenant`'s trigger engine
@@ -120,9 +111,6 @@ impl ServeMonitor {
 
 impl Listener for ServeMonitor {
     fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
-        if let Some(controller) = self.controller.read().as_ref() {
-            controller.on_event(payload, event);
-        }
         // Collect the owners under the read lock, deliver outside it: a
         // trigger callback must never run while the route table is
         // locked (a rewrite on another thread may be re-routing), and

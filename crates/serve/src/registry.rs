@@ -4,9 +4,8 @@
 //! per-tenant [`AdaptiveSession`]s over it. Each tenant keeps its own
 //! trigger engine, safe-point arbitration and rewrite history — the
 //! per-tenant half of the MAPE loop stays fully independent — while the
-//! monitor ([`crate::ServeMonitor`]), the optional shared
-//! [`AutonomicController`] and the [`SharedEstimators`] pool are
-//! multiplexed across all of them. Under a
+//! monitor ([`crate::ServeMonitor`]) and the [`SharedEstimators`] pool
+//! are multiplexed across all of them. Under a
 //! [`ShardedServe`](crate::ShardedServe) front, many registries run as
 //! shards sharing **one** monitor and **one** estimator pool over the
 //! same engine; the registry itself is shard-agnostic — it just tags
@@ -31,7 +30,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use askel_adapt::{AdaptiveSession, TriggerEngine};
-use askel_core::AutonomicController;
 use askel_engine::{Engine, EngineError};
 use askel_obs::{HistogramSnapshot, MetricsSnapshot};
 use askel_skeletons::{Clock, NodeId, Skel};
@@ -170,7 +168,6 @@ pub struct ServeRegistry<P, R> {
     /// Shared across every shard of a `ShardedServe` so the monitor is
     /// registered exactly once no matter which shard first needs it.
     monitor_registered: Arc<AtomicBool>,
-    controller: Option<Arc<AutonomicController>>,
     tenants: BTreeMap<u64, Tenant<P, R>>,
     next_id: u64,
     /// The key the previous drain cycle first visited; the next cycle
@@ -202,7 +199,6 @@ where
             shared: SharedEstimators::new(0.5),
             monitor: ServeMonitor::new(),
             monitor_registered: Arc::new(AtomicBool::new(false)),
-            controller: None,
             tenants: BTreeMap::new(),
             next_id: 0,
             cursor: None,
@@ -229,7 +225,6 @@ where
             shared,
             monitor,
             monitor_registered,
-            controller: None,
             tenants: BTreeMap::new(),
             next_id: 0,
             cursor: None,
@@ -241,23 +236,6 @@ where
     pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Replaces the admission policy in place (applies to subsequent
-    /// feeds and drain cycles).
-    pub fn set_policy(&mut self, policy: AdmissionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Attaches one shared WCT controller to the multiplexed loop: it
-    /// receives every engine event through the monitor, and adaptive
-    /// tenants registered **after** this call have their estimator
-    /// history invalidated in it on every applied subtree replacement
-    /// ([`askel_adapt::Reconfigurator::sync_controller`]).
-    pub fn attach_controller(&mut self, controller: Arc<AutonomicController>) {
-        self.monitor.set_controller(Arc::clone(&controller));
-        self.ensure_monitor();
-        self.controller = Some(controller);
     }
 
     /// Registers a plain tenant: a session with a private, rule-less
@@ -274,9 +252,7 @@ where
     ///   history for structurally identical programs (only entries the
     ///   trigger does not already hold; see [`SharedEstimators::warm`]),
     /// * engine events for the tenant's tree are routed to the trigger
-    ///   through the multiplexed monitor, and
-    /// * if a controller is attached, the session invalidates its
-    ///   estimates alongside the trigger's on applied rewrites.
+    ///   through the multiplexed monitor.
     pub fn register_adaptive(
         &mut self,
         skel: &Skel<P, R>,
@@ -331,12 +307,7 @@ where
         } else {
             Vec::new()
         };
-        let mut session = AdaptiveSession::new(&self.engine, skel, trigger);
-        if adaptive {
-            if let Some(controller) = &self.controller {
-                session = session.sync_controller(Arc::clone(controller));
-            }
-        }
+        let session = AdaptiveSession::new(&self.engine, skel, trigger);
         let cost_ns = self.shared.estimated_cost(skel.node()).map(|c| c.0);
         self.tenants.insert(
             id,

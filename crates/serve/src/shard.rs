@@ -45,7 +45,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use askel_adapt::TriggerEngine;
-use askel_core::AutonomicController;
 use askel_engine::{Engine, EngineError};
 use askel_obs::{HistogramSnapshot, MetricsSnapshot};
 use askel_skeletons::Skel;
@@ -110,14 +109,6 @@ where
 
     fn shard(&self, tenant: TenantId) -> &Mutex<ServeRegistry<P, R>> {
         &self.shards[self.shard_of(tenant)]
-    }
-
-    /// Attaches one shared WCT controller to the multiplexed loop (all
-    /// shards; see [`ServeRegistry::attach_controller`]).
-    pub fn attach_controller(&self, controller: Arc<AutonomicController>) {
-        for shard in &self.shards {
-            shard.lock().attach_controller(Arc::clone(&controller));
-        }
     }
 
     /// Registers a plain tenant on its hash-owned shard (see

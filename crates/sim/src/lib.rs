@@ -214,11 +214,6 @@ impl SimEngine {
         self
     }
 
-    /// The active same-timestamp ordering policy.
-    pub fn ordering_policy(&self) -> OrderingPolicy {
-        self.ordering
-    }
-
     /// The listener registry (identical type to the threaded engine's).
     pub fn registry(&self) -> &Arc<ListenerRegistry> {
         &self.registry
@@ -239,18 +234,6 @@ impl SimEngine {
         self.lp_control.clone()
     }
 
-    /// Renders everything simulated so far as a Chrome trace timeline
-    /// (virtual time): `active` and `target_workers` counter tracks from
-    /// the telemetry stream, ready for `chrome://tracing` / Perfetto.
-    /// Decision-driven runs can overlay their rewrite markers with
-    /// `askel_adapt::decision_log_to_chrome` on the returned trace
-    /// before saving.
-    pub fn chrome_trace(&self) -> askel_obs::ChromeTrace {
-        let mut trace = askel_obs::ChromeTrace::new();
-        askel_pool::telemetry_to_chrome(&self.telemetry.samples(), &mut trace);
-        trace
-    }
-
     /// Current LP (between runs; during a run the pending request applies).
     pub fn lp(&self) -> usize {
         self.workers.as_ref().map(|w| w.capacity()).unwrap_or(0)
@@ -263,48 +246,21 @@ impl SimEngine {
         }
     }
 
-    /// Runs one submission to completion in virtual time.
+    /// Runs one submission to completion in virtual time: a one-item
+    /// [`run_stream`](SimEngine::run_stream) with no components.
     pub fn run<P, R>(&mut self, skel: &Skel<P, R>, input: P) -> Result<SimOutcome<R>, SimError>
     where
         P: Send + 'static,
         R: Send + 'static,
     {
-        let started_at = self.clock.now();
-        let workers = self
-            .workers
-            .take()
-            .expect("worker model is always restored");
-        self.telemetry.record_target(started_at, workers.capacity());
-        let outcome = rt::run(
-            Arc::clone(&self.registry),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.telemetry),
-            Arc::clone(&self.cost),
-            workers,
-            self.lp_control.clone(),
-            self.ordering,
-            skel.node(),
-            Box::new(input),
-        );
-        let result = match outcome {
-            Ok((result, workers)) => {
-                self.workers = Some(workers);
-                result
-            }
-            Err((err, workers)) => {
-                self.workers = Some(workers);
-                return Err(err);
-            }
-        };
-        let finished_at = self.clock.now();
-        let result = *result
-            .downcast::<R>()
-            .map_err(|_| SimError::WrongResultType)?;
+        let mut item = Some((skel.clone(), input));
+        let mut outcome = Err(SimError::Internal("the item was never reported"));
+        let report = self.run_stream(1, |_| item.take(), |_, r| outcome = r, &mut []);
         Ok(SimOutcome {
-            result,
-            started_at,
-            finished_at,
-            wct: finished_at.saturating_sub(started_at),
+            result: outcome?,
+            started_at: report.started_at,
+            finished_at: report.finished_at,
+            wct: report.finished_at.saturating_sub(report.started_at),
         })
     }
 

@@ -66,7 +66,6 @@ pub(crate) struct SimRt {
     /// continuations during [`run_stream`].
     stream_done: Vec<(usize, Data)>,
     error: Option<SimError>,
-    result: Option<Data>,
 }
 
 impl SimRt {
@@ -254,10 +253,6 @@ impl SimRt {
         true
     }
 
-    fn run_loop(&mut self, components: &mut [Box<dyn Component>]) {
-        while self.step(components) {}
-    }
-
     /// Drops every queued task and in-flight completion (stream error
     /// recovery: the whole simulated machine is poisoned and reset).
     fn reset_machine(&mut self) {
@@ -266,79 +261,6 @@ impl SimRt {
         self.stream_done.clear();
         self.occupied.clear();
         self.rebuild_free();
-    }
-}
-
-/// Outcome of one simulated run: the erased result (or error) plus the
-/// worker model handed back to the engine either way.
-pub(crate) type RunResult = Result<(Data, Box<dyn WorkerModel>), (SimError, Box<dyn WorkerModel>)>;
-
-fn new_rt(
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Box<dyn WorkerModel>,
-    lp_control: SimLpControl,
-    policy: OrderingPolicy,
-) -> SimRt {
-    let mut rt = SimRt {
-        now: clock.now(),
-        clock,
-        registry,
-        cost,
-        telemetry,
-        lp_control,
-        ready: ReadyQueue::new(policy),
-        completions: EventQueue::new(policy),
-        workers,
-        occupied: BTreeSet::new(),
-        free: BTreeSet::new(),
-        muscle_counts: HashMap::new(),
-        metered: TimeNs::ZERO,
-        pending: None,
-        events: 0,
-        stream_done: Vec::new(),
-        error: None,
-        result: None,
-    };
-    rt.rebuild_free();
-    rt
-}
-
-/// Runs one submission to completion; returns the erased result and the
-/// final worker model.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Box<dyn WorkerModel>,
-    lp_control: SimLpControl,
-    policy: OrderingPolicy,
-    node: &Arc<Node>,
-    input: Data,
-) -> RunResult {
-    let mut rt = new_rt(
-        registry, clock, telemetry, cost, workers, lp_control, policy,
-    );
-    exec::start(&mut rt, node, input, |rt: &mut SimRt, data| {
-        rt.result = Some(data);
-    });
-    rt.run_loop(&mut []);
-    if let Some(err) = rt.error {
-        return Err((err, rt.workers));
-    }
-    match rt.result {
-        Some(data) => Ok((data, rt.workers)),
-        None => {
-            let err = SimError::Stalled {
-                at: rt.now,
-                ready: rt.ready.len(),
-            };
-            Err((err, rt.workers))
-        }
     }
 }
 
@@ -352,14 +274,14 @@ pub(crate) struct StreamStats {
 
 /// Streams items through one persistent simulated machine.
 ///
-/// Unlike [`run`], the runtime survives across items: worker occupancy,
-/// virtual time, *and per-muscle invocation counters* carry over —
-/// matching a long-lived threaded engine fed a stream, which is exactly
-/// the regime the adapt stack tunes. Up to `window` items are in flight
-/// at once (`window == 1` is strict lock-step: `source(i)` → run →
-/// `sink(i)` → `source(i + 1)`). `source` is polled with the next item
-/// index and ends the stream by returning `None`; `sink` observes every
-/// item's outcome in completion order.
+/// The runtime survives across items: worker occupancy, virtual time,
+/// *and per-muscle invocation counters* carry over — matching a
+/// long-lived threaded engine fed a stream, which is exactly the regime
+/// the adapt stack tunes. Up to `window` items are in flight at once
+/// (`window == 1` is strict lock-step: `source(i)` → run → `sink(i)` →
+/// `source(i + 1)`). `source` is polled with the next item index and
+/// ends the stream by returning `None`; `sink` observes every item's
+/// outcome in completion order.
 ///
 /// Error semantics: a failure poisons the *whole machine* — every item
 /// then in flight is reported failed with the same error and the queues
@@ -381,9 +303,26 @@ pub(crate) fn run_stream(
     components: &mut [Box<dyn Component>],
 ) -> (StreamStats, Box<dyn WorkerModel>) {
     let window = window.max(1);
-    let mut rt = new_rt(
-        registry, clock, telemetry, cost, workers, lp_control, policy,
-    );
+    let mut rt = SimRt {
+        now: clock.now(),
+        clock,
+        registry,
+        cost,
+        telemetry,
+        lp_control,
+        ready: ReadyQueue::new(policy),
+        completions: EventQueue::new(policy),
+        workers,
+        occupied: BTreeSet::new(),
+        free: BTreeSet::new(),
+        muscle_counts: HashMap::new(),
+        metered: TimeNs::ZERO,
+        pending: None,
+        events: 0,
+        stream_done: Vec::new(),
+        error: None,
+    };
+    rt.rebuild_free();
     let mut next_index = 0usize;
     let mut in_flight: Vec<usize> = Vec::new();
     let mut source_done = false;
@@ -438,6 +377,9 @@ pub(crate) fn run_stream(
             sink(index, Ok(data));
         }
     }
+    // An LP request made by the last event outlives the stream, as it
+    // would on a threaded engine.
+    rt.apply_lp_request();
     let stats = StreamStats {
         events: rt.events,
         finished_at: rt.now,

@@ -205,14 +205,6 @@ impl Node {
         }
     }
 
-    /// The muscle ids this node owns.
-    pub fn own_muscles(&self) -> Vec<MuscleId> {
-        self.own_roles()
-            .iter()
-            .map(|&role| MuscleId::new(self.id, role))
-            .collect()
-    }
-
     /// All muscles in the subtree rooted here, parents before children.
     ///
     /// The autonomic controller uses this to decide whether every muscle has

@@ -181,13 +181,6 @@ impl ManualClock {
         })
     }
 
-    /// Creates a clock at the given time.
-    pub fn starting_at(t: TimeNs) -> Arc<Self> {
-        Arc::new(ManualClock {
-            now: AtomicU64::new(t.0),
-        })
-    }
-
     /// Moves the clock forward to `t`; ignored if `t` is in the past.
     pub fn advance_to(&self, t: TimeNs) {
         self.now.fetch_max(t.0, Ordering::SeqCst);

@@ -331,9 +331,11 @@ fn skewed_cluster_offload_acceptance() {
 }
 
 /// LP-coupled promotion: the forecast gate (fed through the controller's
-/// `read_estimates`/`seed_from` path) blocks an unprofitable promotion at
-/// LP 1, opens at LP 4, and the decision log audits the predicted WCT
-/// against the realized WCT of the first item under the new version.
+/// `read_estimates`/`seed_from` path, or read straight from the
+/// controller's tracker after `sync_controller`) blocks an unprofitable
+/// promotion at LP 1, opens at LP 4, and the decision log audits the
+/// predicted WCT against the realized WCT of the first item under the new
+/// version.
 #[test]
 fn forecast_gated_promotion_audits_predicted_vs_realized() {
     use autonomic_skeletons::core::{AutonomicController, ControllerConfig, FnActuator};
@@ -351,24 +353,28 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
 
     // The controller owns the estimates; the trigger seeds from it — the
     // two autonomic layers decide from one shared view of the world.
-    let controller = AutonomicController::new(
-        v1.node().clone(),
-        ControllerConfig::new(TimeNs::from_secs(1), 4),
-        Arc::new(FnActuator(|_| {})),
-    );
-    controller.with_estimates(|est| {
-        est.init_duration(v1_fe, TimeNs::from_millis(800));
-        est.init_duration(v2_fe, TimeNs::from_millis(200));
-        est.init_duration(v2_fs, TimeNs::from_millis(1));
-        est.init_duration(v2_fm, TimeNs::from_millis(1));
-        est.init_cardinality(v2_fs, 4.0);
-    });
+    let seeded_controller = || {
+        let controller = AutonomicController::new(
+            v1.node().clone(),
+            ControllerConfig::new(TimeNs::from_secs(1), 4),
+            Arc::new(FnActuator(|_| {})),
+        );
+        controller.with_estimates(|est| {
+            est.init_duration(v1_fe, TimeNs::from_millis(800));
+            est.init_duration(v2_fe, TimeNs::from_millis(200));
+            est.init_duration(v2_fs, TimeNs::from_millis(1));
+            est.init_duration(v2_fm, TimeNs::from_millis(1));
+            est.init_cardinality(v2_fs, 4.0);
+        });
+        controller
+    };
+    let controller = seeded_controller();
     // The controller's own read path agrees with what the gate will see.
     let at1 = controller.forecast_wct(v2.node(), 1).unwrap();
     let at4 = controller.forecast_wct(v2.node(), 4).unwrap();
     assert!(at4 < at1);
 
-    let run = |lp: usize| {
+    let run = |lp: usize, synced: bool| {
         let cost = Arc::new(
             TableCost::new(TimeNs::from_millis(1))
                 .with(v1_fe, TimeNs::from_millis(800))
@@ -376,7 +382,9 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
         );
         let mut sim = SimEngine::new(lp, cost);
         let trigger = TriggerEngine::new(0.5);
-        trigger.seed_from(&controller);
+        if !synced {
+            trigger.seed_from(&controller);
+        }
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(
             Promote::new(&v1, &v2)
@@ -384,12 +392,19 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .when(Trigger::InputSizeAtLeast(1.0))
                 .forecast_gated(0.2),
         );
-        let reconf = Reconfigurator::new(
+        let mut reconf = Reconfigurator::new(
             Arc::clone(sim.registry()),
             sim.clock().clone(),
             trigger.clone(),
         )
         .lp_source(move || lp);
+        if synced {
+            // One tracker: a controller seeded the same way listens on
+            // the sim and feeds the table the trigger reads.
+            let own = seeded_controller();
+            sim.registry().add_listener(own.clone());
+            reconf = reconf.sync_controller(own);
+        }
         let mut vskel = VersionedSkel::new(&v1);
         let mut realized_wcts = Vec::new();
         for round in 0..3 {
@@ -407,31 +422,97 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
         (vskel.version(), trigger.decision_log(), realized_wcts)
     };
 
-    // LP 1: the fan-out buys nothing — the gate stays closed.
-    let (version, log, _) = run(1);
-    assert_eq!(version, 0, "unprofitable promotion blocked: {log:?}");
-    assert!(log.is_empty());
+    for synced in [false, true] {
+        // LP 1: the fan-out buys nothing — the gate stays closed.
+        let (version, log, _) = run(1, synced);
+        assert_eq!(version, 0, "unprofitable promotion blocked: {log:?}");
+        assert!(log.is_empty());
 
-    // LP 4: the forecast improves by far more than the 20% margin.
-    let (version, log, wcts) = run(4);
-    assert_eq!(version, 1);
-    assert_eq!(log.len(), 1);
-    assert_eq!(log[0].rule, "gated-promote");
-    let forecast = log[0].forecast.expect("gated fire carries its forecast");
-    assert!(
-        forecast.predicted < forecast.baseline,
-        "gate only opens on improvement: {forecast:?}"
+        // LP 4: the forecast improves by far more than the 20% margin.
+        let (version, log, wcts) = run(4, synced);
+        assert_eq!(version, 1, "synced: {synced}");
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].rule, "gated-promote");
+        let forecast = log[0].forecast.expect("gated fire carries its forecast");
+        assert!(
+            forecast.predicted < forecast.baseline,
+            "gate only opens on improvement: {forecast:?}"
+        );
+        assert!(log[0].why.contains("forecast"), "{}", log[0].why);
+        // The realized WCT of the first item under the new version closed
+        // the audit — and the promotion really was faster.
+        let realized = forecast.realized.expect("first post-rewrite item audited");
+        assert_eq!(realized, wcts[1], "the audit records the item's WCT");
+        assert!(realized < wcts[0], "promotion paid off: {wcts:?}");
+    }
+}
+
+/// One tracker per stream: a synced trigger registered next to the
+/// controller changes nothing the controller sees. The controller alone
+/// feeds the shared tracker, so no event is observed twice.
+#[test]
+fn synced_trigger_leaves_the_controller_fed_once() {
+    use autonomic_skeletons::core::{AutonomicController, ControllerConfig, FnActuator};
+
+    let program: Skel<Vec<i64>, i64> = map(
+        |v: Vec<i64>| v.into_iter().map(|x| vec![x]).collect::<Vec<_>>(),
+        seq(|v: Vec<i64>| v[0]),
+        |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
     );
-    assert!(log[0].why.contains("forecast"), "{}", log[0].why);
-    // The realized WCT of the first item under the new version closed
-    // the audit — and the promotion really was faster.
-    let realized = forecast.realized.expect("first post-rewrite item audited");
-    assert_eq!(realized, wcts[1], "the audit records the item's WCT");
-    assert!(realized < wcts[0], "promotion paid off: {wcts:?}");
+    let run = |with_trigger: bool| {
+        // Jittered costs: an event replayed twice would move the EWMAs.
+        let cost = Arc::new(JitterCost::new(
+            TableCost::new(TimeNs::from_millis(10)),
+            0.5,
+            7,
+        ));
+        let mut sim = SimEngine::new(1, cost);
+        let lp = sim.lp_control();
+        let controller = AutonomicController::new(
+            program.node().clone(),
+            ControllerConfig::new(TimeNs::from_millis(40), 8),
+            Arc::new(FnActuator(move |n| lp.request(n))),
+        );
+        let trigger = TriggerEngine::new(0.5);
+        if with_trigger {
+            sim.registry().add_listener(trigger.clone());
+            let _synced = Reconfigurator::new(
+                Arc::clone(sim.registry()),
+                sim.clock().clone(),
+                trigger.clone(),
+            )
+            .sync_controller(Arc::clone(&controller));
+        }
+        sim.registry().add_listener(controller.clone());
+        let results: Vec<i64> = (0..6)
+            .map(|n| {
+                sim.run(&program, (0..=n).collect())
+                    .expect("sim run")
+                    .result
+            })
+            .collect();
+        if with_trigger {
+            assert_eq!(
+                trigger.read_estimates(|t| t.snapshot()),
+                controller.snapshot(),
+                "the synced trigger reads the controller's table"
+            );
+        }
+        (
+            controller.snapshot(),
+            controller.decisions(),
+            controller.analysis_log(),
+            results,
+        )
+    };
+    let alone = run(false);
+    assert!(!alone.1.is_empty(), "the goal makes the controller act");
+    assert_eq!(run(true), alone);
 }
 
 /// Sharing the estimator view: the self-configuration layer can seed its
-/// trigger statistics from the self-optimization controller's live table.
+/// trigger statistics from the self-optimization controller's live table,
+/// and after `sync_controller` both read and write one table.
 #[test]
 fn trigger_seeds_from_controller_estimates() {
     use autonomic_skeletons::core::{AutonomicController, ControllerConfig, FnActuator};
@@ -452,6 +533,26 @@ fn trigger_seeds_from_controller_estimates() {
         trigger.read_estimates(|t| t.duration(fe)),
         Some(TimeNs::from_millis(7)),
         "trigger adopted the controller's live estimates"
+    );
+
+    let sim = SimEngine::new(1, Arc::new(ZeroCost));
+    let _reconf = Reconfigurator::new(
+        Arc::clone(sim.registry()),
+        sim.clock().clone(),
+        Arc::clone(&trigger),
+    )
+    .sync_controller(Arc::clone(&controller));
+    trigger.with_estimates(|est| est.init_duration(fe, TimeNs::from_millis(9)));
+    assert_eq!(
+        controller.read_estimates(|t| t.duration(fe)),
+        Some(TimeNs::from_millis(9)),
+        "a synced trigger writes the controller's table"
+    );
+    controller.with_estimates(|est| est.init_duration(fe, TimeNs::from_millis(11)));
+    assert_eq!(
+        trigger.read_estimates(|t| t.duration(fe)),
+        Some(TimeNs::from_millis(11)),
+        "a synced trigger reads the controller's table"
     );
 }
 
